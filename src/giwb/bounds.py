@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .gamma import gamma_closed
-from .graphs import Graph, bits, component_count, from_edges, induced_subgraph
+from .graphs import (Graph, component_count, from_edges, induced_subgraph,
+                     to_graph6)
 from .invariants import GraphAnalysis
 
 HOLDS = "holds"
@@ -163,9 +164,6 @@ def check_galvin_goddard(g: Graph, an: Optional[GraphAnalysis] = None) -> Verdic
 
 # Extremal families
 
-FAMILY_KINDS = ("clique-of-stars", "star", "complete", "odd-cycle")
-
-
 @dataclass(frozen=True)
 class FamilySpec:
     """Parameters of one generator family.
@@ -226,24 +224,22 @@ def path(n: int) -> Graph:
     return from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
+# kind -> (builder, parameter names)
+_FAMILIES = {
+    "clique-of-stars": (clique_of_stars, ("tau", "leaves")),
+    "star": (star, ("leaves",)),
+    "complete": (complete, ("n",)),
+    "odd-cycle": (odd_cycle, ("n",)),
+}
+FAMILY_KINDS = tuple(_FAMILIES)
+
+
 def generate_family(spec: FamilySpec) -> Graph:
     """Construct the graph described by ``spec``."""
-    kind, params = spec.kind, spec.params
-    if kind == "clique-of-stars":
-        if len(params) != 2:
-            raise ValueError("clique-of-stars takes (tau, leaves)")
-        return clique_of_stars(*params)
-    if kind == "star":
-        if len(params) != 1:
-            raise ValueError("star takes (leaves,)")
-        return star(params[0])
-    if kind == "complete":
-        if len(params) != 1:
-            raise ValueError("complete takes (n,)")
-        return complete(params[0])
-    if len(params) != 1:
-        raise ValueError("odd-cycle takes (n,)")
-    return odd_cycle(params[0])
+    build, names = _FAMILIES[spec.kind]
+    if len(spec.params) != len(names):
+        raise ValueError(f"{spec.kind} takes ({', '.join(names)})")
+    return build(*spec.params)
 
 
 # Isomorphism (desk scale)
@@ -315,8 +311,6 @@ def catalog_min_edges(alpha: int, tau: int, components: int,
     The caller is responsible for stream coverage; an empty match is a
     result, not an error.
     """
-    from .graphs import to_graph6
-
     best: Optional[int] = None
     witness: Optional[str] = None
     for g in stream:

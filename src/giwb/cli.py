@@ -1,14 +1,15 @@
 """Command-line entry point.
 
 Subcommands: invariants, decompose, gamma, check, search, generate,
-catalog-min-edges.  Graphs are given inline as graph6 tokens, as a file
-path, or as ``-`` for standard input; file contents are auto-detected
-(leading ``n `` means the edge-list format, anything else is graph6, one
-graph per line).  Output is UTF-8 line-delimited JSON records with stable
-key order.
+catalog-min-edges.  A graph argument is an inline graph6 token, or a file
+path or ``-`` for stdin streamed by ``harness.graphs_from_file`` (format
+picked by the first line that is neither blank nor a ``#`` comment).
+Output is UTF-8 line-delimited JSON records with stable key order, written
+per graph, so records for earlier graphs precede an error on a later one.
 
 Exit codes: 0 on completion (including logged findings), 1 when a theorem
-or corollary check is violated, 2 on usage or parse errors.
+or corollary check is violated, 2 on usage, parse or input errors
+(unreadable files included), 3 on an internal error (traceback on stderr).
 """
 
 from __future__ import annotations
@@ -18,15 +19,16 @@ import dataclasses
 import json
 import os
 import sys
-from typing import Optional
+import traceback
+from typing import Iterable, Optional
 
 from . import __version__
-from .bounds import (CatalogResult, FamilySpec, VIOLATED, catalog_min_edges,
-                     generate_family)
+from .bounds import (FAMILY_KINDS, CatalogResult, FamilySpec, VIOLATED,
+                     catalog_min_edges, generate_family)
 from .gamma import gamma_closed, gamma_oracle, gamma_property_suite
-from .graphs import (Graph, GraphFormatError, bits, parse_edge_list,
-                     parse_graph6, to_graph6)
-from .harness import (CHECKS, THEOREM_CHECKS, ScanConfig, enumerate_graphs,
+from .graphs import Graph, GraphFormatError, bits, parse_graph6, to_graph6
+from .harness import (CHECKS, THEOREM_CHECKS, ScanConfig, check_verdicts,
+                      enumerate_graphs, graphs_from_file,
                       normalize_check_name, scan)
 from .invariants import core_decomposition, invariant_suite
 
@@ -34,30 +36,20 @@ CLI_CHECK_FLAGS = ("theorem1", "cor1", "berge", "edge-bound",
                    "galvin-goddard", "conj1", "conj3", "hyper-cor")
 
 
-class UsageError(Exception):
-    pass
-
-
 def _emit(record: dict) -> None:
     record = {"version": __version__, **record}
     print(json.dumps(record, sort_keys=True))
 
 
-def _read_graphs(arg: str) -> list[Graph]:
-    """Inline graph6 token, ``-`` for stdin, or a file path."""
-    if arg == "-":
-        text = sys.stdin.read()
-    elif os.path.exists(arg):
-        with open(arg, encoding="utf-8") as fh:
-            text = fh.read()
-    else:
+def _read_graphs(arg: str) -> Iterable[Graph]:
+    """An existing path or ``-`` is read as a graph file; anything else is
+    one inline graph6 token."""
+    if arg == "-" or os.path.exists(arg):
+        return graphs_from_file(arg)
+    try:
         return [parse_graph6(arg)]
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise GraphFormatError("no graphs in input")
-    if lines[0].startswith("n ") or lines[0] == "n":
-        return [parse_edge_list(text)]
-    return [parse_graph6(ln) for ln in lines]
+    except GraphFormatError as exc:
+        raise GraphFormatError(f"{arg!r} is no file and no graph6 token: {exc}") from None
 
 
 def _cmd_invariants(args) -> int:
@@ -87,7 +79,7 @@ def _cmd_gamma(args) -> int:
                "ok": rep.ok, "inequalities_ok": rep.inequalities_ok})
         return 0
     if args.a is None or args.t is None:
-        raise UsageError("gamma needs --a and --t (or --properties)")
+        raise ValueError("gamma needs --a and --t (or --properties)")
     gv = gamma_closed(args.a, args.t)
     record = {"gamma": dataclasses.asdict(gv)}
     if args.oracle:
@@ -100,12 +92,11 @@ def _cmd_check(args) -> int:
     names = [normalize_check_name(f) for f in CLI_CHECK_FLAGS
              if args.all or getattr(args, f.replace("-", "_"))]
     if not names:
-        raise UsageError("select at least one check (or --all)")
+        raise ValueError("select at least one check (or --all)")
     exit_code = 0
     for g in _read_graphs(args.graph):
         g6 = to_graph6(g)
-        for name in names:
-            v = CHECKS[name](g, None)
+        for name, v in check_verdicts(g, names):
             _emit({"graph6": g6, "check": name, "status": v.status,
                    "lhs": v.lhs, "rhs": v.rhs, "slack": v.slack,
                    "equality": v.equality, "witness": v.witness,
@@ -117,15 +108,12 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    shards = args.shards
-    if shards is None:
-        shards = int(os.environ.get("GIWB_SHARDS", "1"))
     config = ScanConfig(
         checks=tuple(args.checks.split(",")),
         n=args.n,
         connected_only=args.connected,
         dedup=args.dedup,
-        shard_count=shards,
+        shard_count=args.shards,
     )
     report = scan(config)
     _emit({"report": report.body_dict(),
@@ -143,7 +131,6 @@ def _cmd_generate(args) -> int:
 
 def _cmd_catalog(args) -> int:
     if args.input:
-        from .harness import graphs_from_file
         stream = graphs_from_file(args.input)
     else:
         n = args.n if args.n is not None else args.alpha + args.tau
@@ -188,15 +175,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dedup", action="store_true")
     p.add_argument("--checks", required=True,
                    help="comma-separated check names")
-    p.add_argument("--shards", type=int, default=None,
-                   help="shard count (default: GIWB_SHARDS or 1)")
+    p.add_argument("--shards", type=int, default=1, help="shard count")
     p.add_argument("--tsv", action="store_true",
                    help="also print a TSV violations table to stderr")
     p.set_defaults(fn=_cmd_search)
 
     p = sub.add_parser("generate", help="construct an extremal family graph")
     p.add_argument("--family", required=True,
-                   choices=["clique-of-stars", "star", "complete", "odd-cycle"])
+                   choices=FAMILY_KINDS)
     p.add_argument("--params", nargs="+", type=int, required=True)
     p.set_defaults(fn=_cmd_generate)
 
@@ -206,7 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=int, required=True)
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--n", type=int)
-    p.add_argument("--input", help="graph6 file instead of enumeration")
+    p.add_argument("--input",
+                   help="graph file or - for stdin instead of enumeration")
     p.set_defaults(fn=_cmd_catalog)
 
     return parser
@@ -220,9 +207,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (GraphFormatError, UsageError, ValueError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"giwb: error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

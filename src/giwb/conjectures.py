@@ -127,7 +127,8 @@ def check_conjecture1_full(g: Graph,
                            slack=bound.slack,
                            witness={"failed": "clique-system",
                                     "stable_set": list(bits(stable))})
-        assert system.validate(g, stable, an.omega_e)
+        if not system.validate(g, stable, an.omega_e):
+            raise RuntimeError("clique_system_search returned an invalid system")
     return Verdict(name, HOLDS, lhs=bound.lhs, rhs=bound.rhs,
                    slack=bound.slack, equality=bound.equality)
 

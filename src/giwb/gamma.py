@@ -33,12 +33,17 @@ def gamma_closed(a: int, t: int) -> GammaValue:
     return GammaValue(a=a, t=t, r=r, s=s, value=value)
 
 
+ORACLE_MAX = 100  # the recursion is a levels deep, the work a * (a + t)^2
+
+
 def gamma_oracle(a: int, t: int) -> int:
     """Exact minimum over compositions, by DP on (parts used, remaining sum).
 
-    Independent of the closed form; intended scope a + t <= ~50.
+    Independent of the closed form.  Domain: a >= 1, t >= 0, a + t <= 100.
     """
     _check_domain(a, t)
+    if a + t > ORACLE_MAX:
+        raise ValueError(f"the Gamma oracle needs a + t <= {ORACLE_MAX}")
     return _oracle_rec(a, a + t)
 
 

@@ -196,27 +196,42 @@ def to_graph6(g: Graph) -> str:
     return head + "".join(body)
 
 
+def is_significant(line: str) -> bool:
+    """True unless ``line`` is blank or a ``#`` comment."""
+    line = line.strip()
+    return bool(line) and not line.startswith("#")
+
+
+def parse_counted(text: str, what: str) -> tuple[int, list[tuple[int, str]]]:
+    """Front end of the ``n <count>`` formats (edge lists, hypergraphs):
+    the vertex count and the significant lines after the header, stripped
+    and numbered as in ``text``."""
+    lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), 1)
+             if is_significant(ln)]
+    if not lines:
+        raise GraphFormatError(f"empty {what} input")
+    no, first = lines[0]
+    head = first.split()
+    if len(head) != 2 or head[0] != "n":
+        raise GraphFormatError(f"line {no}: expected 'n <count>', got {first!r}")
+    try:
+        n = int(head[1])
+    except ValueError:
+        raise GraphFormatError(f"line {no}: unparsable vertex count {head[1]!r}") from None
+    if not 0 <= n <= MAX_VERTICES:
+        raise GraphFormatError(f"line {no}: vertex count {n} outside 0..{MAX_VERTICES}")
+    return n, lines[1:]
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the human-authoring format: ``n <count>`` then ``u v`` lines.
 
     Duplicate edge lines collapse; self-loops and out-of-range vertices are
     rejected.
     """
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines:
-        raise GraphFormatError("empty edge-list input")
-    head = lines[0].split()
-    if len(head) != 2 or head[0] != "n":
-        raise GraphFormatError(f"line 1: expected 'n <count>', got {lines[0]!r}")
-    try:
-        n = int(head[1])
-    except ValueError:
-        raise GraphFormatError(f"line 1: unparsable vertex count {head[1]!r}") from None
-    if not 0 <= n <= MAX_VERTICES:
-        raise GraphFormatError(f"line 1: vertex count {n} outside 0..{MAX_VERTICES}")
+    n, lines = parse_counted(text, "edge-list")
     adj = [0] * n
-    for ln_no, ln in enumerate(lines[1:], start=2):
+    for ln_no, ln in lines:
         parts = ln.split()
         if len(parts) != 2:
             raise GraphFormatError(f"line {ln_no}: expected 'u v', got {ln!r}")

@@ -9,10 +9,12 @@ residue with a commutative merge, so totals are shard-count independent.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
+import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -23,7 +25,8 @@ from .bounds import (HOLDS, NOT_APPLICABLE, UNCHECKED, Verdict, VIOLATED,
                      classify_equality_theorem1)
 from .conjectures import (check_conjecture1_bound, check_conjecture1_full,
                           check_conjecture3, check_omega_v_substitution)
-from .graphs import Graph, component_count, parse_graph6, to_graph6
+from .graphs import (Graph, GraphFormatError, component_count, is_significant,
+                     parse_edge_list, parse_graph6, to_graph6)
 from .hypergraphs import check_hyper_corollary
 from .invariants import GraphAnalysis
 
@@ -120,22 +123,43 @@ def enumerate_graphs(n: int, connected_only: bool = False,
         yield g
 
 
-def graphs_from_file(path: str) -> Iterator[Graph]:
-    """One graph6 code per line; blank lines skipped."""
-    with open(path, encoding="utf-8") as fh:
+def graphs_from_file(source: str) -> Iterator[Graph]:
+    """Stream the graphs of the file ``source`` (``-``: stdin).  The first
+    line neither blank nor a ``#`` comment picks the format: ``n <count>``
+    makes the input one edge-list graph, anything else is graph6, one graph
+    per such line.  An input without a graph raises GraphFormatError."""
+    with (contextlib.nullcontext(sys.stdin) if source == "-"
+          else open(source, encoding="utf-8")) as fh:
+        head = []
         for line in fh:
-            line = line.strip()
-            if line:
+            head.append(line)
+            if is_significant(line):
+                break
+        else:
+            raise GraphFormatError("no graphs in input")
+        if head[-1].split()[0] == "n":  # the header parse_counted reads
+            yield parse_edge_list("".join(head) + fh.read())
+            return
+        for line in itertools.chain(head, fh):
+            if is_significant(line):
                 yield parse_graph6(line)
+
+
+def check_verdicts(g: Graph, names) -> Iterator[tuple[str, Verdict]]:
+    """``(name, verdict)`` for each named check on ``g``; the checks share
+    one analysis, so its subset table is built once."""
+    an = GraphAnalysis(g)
+    for name in names:
+        yield name, CHECKS[name](g, an)
 
 
 @dataclass(frozen=True)
 class ScanConfig:
     """What to scan and with which checks.
 
-    Exactly one source: ``n`` (exhaustive enumeration) or ``path`` (graph6
-    file).  ``shard_count`` partitions the stream by index residue; totals
-    are independent of it by construction.
+    Exactly one source: ``n`` (exhaustive enumeration) or ``path`` (read by
+    ``graphs_from_file``).  ``shard_count`` partitions the stream by index
+    residue; totals are independent of it by construction.
     """
 
     checks: tuple[str, ...]
@@ -182,22 +206,11 @@ class CheckTotals:
             self.not_applicable += 1
 
     def merge(self, other: "CheckTotals") -> None:
-        self.applicable += other.applicable
-        self.holds += other.holds
-        self.equality += other.equality
-        self.violated += other.violated
-        self.not_applicable += other.not_applicable
-        self.unchecked += other.unchecked
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
     def as_dict(self) -> dict:
-        return {
-            "applicable": self.applicable,
-            "holds": self.holds,
-            "equality": self.equality,
-            "violated": self.violated,
-            "not_applicable": self.not_applicable,
-            "unchecked": self.unchecked,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -272,14 +285,11 @@ def scan(config: ScanConfig) -> ScanReport:
     shards = [ScanReport(config=config,
                          totals={c: CheckTotals() for c in config.checks})
               for _ in range(config.shard_count)]
-    fns = [(name, CHECKS[name]) for name in config.checks]
     for idx, g in enumerate(stream):
         shard = shards[idx % config.shard_count]
         shard.graph_count += 1
-        an = GraphAnalysis(g)
         g6: Optional[str] = None
-        for name, fn in fns:
-            verdict = fn(g, an)
+        for name, verdict in check_verdicts(g, config.checks):
             shard.totals[name].add(verdict)
             if verdict.status == VIOLATED:
                 if g6 is None:

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .bounds import HOLDS, NOT_APPLICABLE, Verdict, _bound_verdict
-from .graphs import Graph, GraphFormatError, MAX_VERTICES, bits, mask_of
+from .graphs import (Graph, GraphFormatError, MAX_VERTICES, bits, mask_of,
+                     parse_counted)
 from .invariants import GraphAnalysis, maximal_cliques, maximal_stable_sets
 
 
@@ -65,19 +66,9 @@ class HyperGraph:
 def parse_hypergraph(text: str) -> HyperGraph:
     """Parse the text format: first line ``n <count>``, then one edge per
     line as space-separated vertex indices."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines:
-        raise GraphFormatError("empty hypergraph input")
-    head = lines[0].split()
-    if len(head) != 2 or head[0] != "n":
-        raise GraphFormatError(f"line 1: expected 'n <count>', got {lines[0]!r}")
-    try:
-        n = int(head[1])
-    except ValueError:
-        raise GraphFormatError(f"line 1: unparsable vertex count {head[1]!r}") from None
+    n, lines = parse_counted(text, "hypergraph")
     edges = []
-    for ln_no, ln in enumerate(lines[1:], start=2):
+    for ln_no, ln in lines:
         try:
             vs = [int(tok) for tok in ln.split()]
         except ValueError:
@@ -142,20 +133,23 @@ def check_hyper_corollary(g: Graph, an: Optional[GraphAnalysis] = None) -> Verdi
         return Verdict("hyper-cor", NOT_APPLICABLE)
     an = an or GraphAnalysis(g)
     cores = an.cores
-    h = stable_set_hypergraph(g)
     if cores.alpha_core or cores.tau_core:
         return Verdict("hyper-cor", NOT_APPLICABLE)
     # Empty cores force the raw edge-family conditions: the edges intersect
     # trivially and cover every vertex.  (The converse is false: the maximal
     # stable sets of P_3 have empty intersection while its alpha_core does
     # not, so applicability is gated on the cores.)
+    h = stable_set_hypergraph(g)
     inter = h.edges[0]
     for e in h.edges:
         inter &= e
-    assert inter == 0
-    assert h.covered_vertices() == g.full_mask
+    if inter:
+        raise RuntimeError("empty cores, yet the maximal stable sets share a vertex")
+    if h.covered_vertices() != g.full_mask:
+        raise RuntimeError("empty cores, yet the maximal stable sets miss a vertex")
+    if h.r_max != an.alpha:
+        raise RuntimeError("the largest maximal stable set is not of size alpha")
     lhs = 2 * h.r_max
-    assert h.r_max == an.alpha
     return _bound_verdict("hyper-cor", lhs, g.n, g.n - lhs)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional
 
-from .graphs import Graph, VertexMask, bits, complement, induced_subgraph
+from .graphs import Graph, VertexMask, bridges, complement, component_count
 
 # Largest n for which the 2^n subset table is built; beyond it every query
 # falls back to branch-and-bound.
@@ -61,11 +61,6 @@ def stability_number(g: Graph, subset: Optional[VertexMask] = None) -> int:
 
     bb(avail0, 0)
     return best
-
-
-def clique_number(g: Graph, subset: Optional[VertexMask] = None) -> int:
-    """omega of ``g`` (restricted to ``subset``): alpha of the complement."""
-    return stability_number(complement(g), subset)
 
 
 def max_stable_containing(g: Graph, v: int) -> int:
@@ -271,8 +266,6 @@ class GraphAnalysis:
 
 def invariant_suite(g: Graph) -> InvariantReport:
     """Compute every invariant of ``g`` in one report."""
-    from .graphs import component_count
-
     an = GraphAnalysis(g)
     return InvariantReport(
         n=g.n,
@@ -298,26 +291,23 @@ def core_decomposition(g: Graph) -> CoreDecomposition:
 def criticality_profile(g: Graph) -> CriticalityProfile:
     """B-graph / tau-critical / alpha-critical flags plus the edge partition
     behind the necessary condition for edge-minimal graphs."""
-    from .graphs import bridges as bridge_set
-
     an = GraphAnalysis(g)
-    cores = an.cores
-    is_b = cores.tau_core == 0
-    is_tc = cores.alpha_core == 0
+    is_tc = an.is_tau_critical
     # Cross-check the vertex-deletion characterization of tau-criticality.
     by_deletion = all(
         (g.n - 1) - an.alpha_of(g.full_mask & ~(1 << v)) < an.tau
         for v in range(g.n))
-    assert by_deletion == is_tc
+    if by_deletion != is_tc:
+        raise RuntimeError("deletion and core tau-criticality tests disagree")
     edges = list(g.edges())
     critical = frozenset(
         e for e in edges
         if stability_number(g.remove_edge(*e)) == an.alpha + 1)
-    bridge_edges = frozenset(bridge_set(g))
+    bridge_edges = frozenset(bridges(g))
     is_ac = bool(edges) and len(critical) == len(edges)
     q_min = all(e in critical or e in bridge_edges for e in edges)
     return CriticalityProfile(
-        is_b_graph=is_b,
+        is_b_graph=an.is_b_graph,
         is_tau_critical=is_tc,
         is_alpha_critical=is_ac,
         q_minimal_necessary=q_min,

@@ -1,6 +1,8 @@
 """Command-line interface: parsing, JSON output, and exit codes."""
 
+import io
 import json
+import time
 
 import pytest
 
@@ -88,6 +90,17 @@ class TestCheck:
         assert records[0]["status"] == "violated"
         assert records[0]["finding"] is False
 
+    def test_all_checks_share_one_analysis(self, capsys, monkeypatch):
+        seen = []
+        for name, fn in list(cli.CHECKS.items()):
+            def recording(g, an, fn=fn):
+                seen.append(an)
+                return fn(g, an)
+            monkeypatch.setitem(cli.CHECKS, name, recording)
+        code, records, _ = run(capsys, "check", "--all", "Dhc")
+        assert code == 0 and len(seen) == len(records) == len(cli.CLI_CHECK_FLAGS)
+        assert seen[0] is not None and all(an is seen[0] for an in seen)
+
     def test_conjecture_violation_is_a_finding(self, capsys, monkeypatch):
         stub = Verdict("conj1", VIOLATED, lhs=9, rhs=1, slack=-8)
         monkeypatch.setitem(cli.CHECKS, "conj1", lambda g, an: stub)
@@ -105,12 +118,6 @@ class TestSearch:
         assert report["graph_count"] == 64
         assert report["violations"] == []
         assert "elapsed_seconds" in records[0]["runtime"]
-
-    def test_shards_env_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("GIWB_SHARDS", "3")
-        code, records, _ = run(capsys, "search", "--n", "3",
-                               "--checks", "theorem1")
-        assert code == 0 and records[0]["report"]["graph_count"] == 8
 
     def test_unknown_check_name(self, capsys):
         code, _, captured = run(capsys, "search", "--n", "3",
@@ -144,7 +151,66 @@ class TestGenerateAndCatalog:
         assert code == 0 and records[0]["catalog"]["witness_graph6"] == "Dhc"
 
 
+CATALOG = ("catalog-min-edges", "--alpha", "2", "--tau", "3", "--c", "1",
+           "--input")
+
+
+class TestInputs:
+    def test_edge_list_after_a_comment(self, capsys, tmp_path):
+        path = tmp_path / "tri.txt"
+        path.write_text("# a triangle\nn 3\n0 1\n1 2\n0 2\n")
+        code, records, _ = run(capsys, "invariants", str(path))
+        assert code == 0 and records[0]["graph6"] == "Bw"
+
+    def test_catalog_reads_edge_lists_from_file_and_stdin(
+            self, capsys, tmp_path, monkeypatch):
+        text = "n 5\n0 1\n1 2\n2 3\n3 4\n0 4\n"  # C_5, encoded Dhc
+        path = tmp_path / "c5.txt"
+        path.write_text(text)
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        for source in (str(path), "-"):
+            code, records, _ = run(capsys, *CATALOG, source)
+            assert code == 0, source
+            assert records[0]["catalog"]["witness_graph6"] == "Dhc"
+
+    @pytest.mark.parametrize("argv", [("invariants",), CATALOG])
+    def test_input_without_graphs_exits_2(self, capsys, tmp_path, argv):
+        path = tmp_path / "empty.txt"
+        path.write_text("\n# nothing here\n")
+        code, records, captured = run(capsys, *argv, str(path))
+        assert code == 2 and not records
+        assert "giwb: error: no graphs in input" in captured.err
+
+    @pytest.mark.parametrize("argv", [("invariants",), CATALOG])
+    def test_unreadable_paths_exit_2(self, capsys, tmp_path, argv):
+        for source in (tmp_path, tmp_path / "missing.g6"):
+            code, _, captured = run(capsys, *argv, str(source))
+            assert code == 2 and "giwb: error:" in captured.err, source
+
+    def test_records_stream_before_a_later_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "mixed.g6"
+        path.write_text("Bw\nzz\n")
+        code, records, captured = run(capsys, "invariants", str(path))
+        assert code == 2 and [r["graph6"] for r in records] == ["Bw"]
+        assert "giwb: error:" in captured.err
+
+
 class TestErrors:
+    def test_gamma_oracle_outside_its_domain_exits_2(self, capsys):
+        start = time.perf_counter()
+        code, _, captured = run(capsys, "gamma", "--a", "3000", "--t", "1",
+                                "--oracle")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and "a + t <= 100" in captured.err
+
+    def test_internal_error_exits_3(self, capsys, monkeypatch):
+        def broken(g, an):
+            raise RuntimeError("broken invariant")
+        monkeypatch.setitem(cli.CHECKS, "theorem1", broken)
+        code, records, captured = run(capsys, "check", "--theorem1", "Dhc")
+        assert code == 3 and not records
+        assert "RuntimeError: broken invariant" in captured.err
+
     def test_malformed_graph6_exits_2(self, capsys):
         code, _, captured = run(capsys, "check", "--all", "zzz\x01")
         assert code == 2 and "error:" in captured.err

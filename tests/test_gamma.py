@@ -60,6 +60,11 @@ class TestValues:
         with pytest.raises(ValueError):
             gamma_oracle(a, t)
 
+    def test_oracle_domain_is_bounded(self):
+        assert gamma_oracle(50, 50) == gamma_closed(50, 50).value
+        with pytest.raises(ValueError, match="a \\+ t <= 100"):
+            gamma_oracle(3000, 1)
+
 
 class TestPropertySuite:
     def test_grid_too_small_rejected(self):

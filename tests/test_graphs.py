@@ -125,6 +125,7 @@ class TestEdgeList:
         ("n 3\n0 z", "line 2: unparsable"),
         ("n 3\n1 1", "line 2: self-loop"),
         ("n 3\n0 3", "line 2: vertex out of range"),
+        ("# lines count from the top\nn 3\n\n0 z", "line 4: unparsable"),
     ])
     def test_malformed_inputs(self, text, message):
         with pytest.raises(GraphFormatError, match=message):

@@ -1,9 +1,11 @@
 """Enumeration streams and the sharded scan harness."""
 
+import io
+
 import pytest
 
 from giwb.bounds import are_isomorphic
-from giwb.graphs import to_graph6
+from giwb.graphs import GraphFormatError, to_graph6
 from giwb.harness import (CHECKS, THEOREM_CHECKS, ScanConfig,
                           enumerate_graphs, graphs_from_file,
                           normalize_check_name, scan)
@@ -46,6 +48,21 @@ class TestEnumeration:
         gs = list(graphs_from_file(str(path)))
         assert [g.n for g in gs] == [5, 3]
         assert [to_graph6(g) for g in gs] == ["Dhc", "Bw"]
+
+    def test_graphs_from_file_detects_format_past_comments(self, tmp_path):
+        path = tmp_path / "tri.txt"
+        path.write_text("\n# a triangle\nn 3\n0 1\n# closing edge\n1 2\n0 2\n")
+        assert [to_graph6(g) for g in graphs_from_file(str(path))] == ["Bw"]
+
+    def test_graphs_from_stdin(self, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("# two graphs\nDhc\n\nBw\n"))
+        assert [to_graph6(g) for g in graphs_from_file("-")] == ["Dhc", "Bw"]
+
+    def test_graphs_from_file_without_graphs(self, tmp_path):
+        path = tmp_path / "empty.g6"
+        path.write_text("\n   \n# only a comment\n")
+        with pytest.raises(GraphFormatError, match="no graphs in input"):
+            list(graphs_from_file(str(path)))
 
 
 class TestScanConfig:

@@ -8,7 +8,8 @@ import pytest
 
 from conftest import complete as k_n, cycle, path
 from giwb.bounds import HOLDS, NOT_APPLICABLE
-from giwb.graphs import Graph, GraphFormatError
+from giwb import hypergraphs
+from giwb.graphs import Graph, GraphFormatError, parse_graph6
 from giwb.hypergraphs import (HyperGraph, check_conjecture2,
                               check_hyper_corollary, incidence_matrix,
                               is_conformal, is_conformal_oracle,
@@ -37,6 +38,7 @@ class TestBasics:
         ("n x", "unparsable vertex count"),
         ("n 3\n0 z", "line 2: unparsable"),
         ("n 3\n0 5", "line 2: vertex out of range"),
+        ("n 99", "outside"),
     ])
     def test_malformed_inputs(self, text, message):
         with pytest.raises(GraphFormatError, match=message):
@@ -107,6 +109,20 @@ class TestHyperCorollary:
         # already have empty intersection.
         assert check_hyper_corollary(path(3)).status == NOT_APPLICABLE
         assert check_hyper_corollary(Graph(0, ())).status == NOT_APPLICABLE
+
+    def test_hypergraph_built_only_when_applicable(self, monkeypatch):
+        def unexpected(g):
+            raise AssertionError("hypergraph built for an inapplicable graph")
+        monkeypatch.setattr(hypergraphs, "stable_set_hypergraph", unexpected)
+        assert check_hyper_corollary(parse_graph6("Bg")).status == NOT_APPLICABLE
+
+    def test_broken_invariant_raises(self, monkeypatch):
+        # C_5 has empty cores, so its maximal stable sets cannot all share
+        # vertex 0; a hypergraph claiming so must be reported, not skipped.
+        monkeypatch.setattr(hypergraphs, "stable_set_hypergraph",
+                            lambda g: HyperGraph(5, (0b00101, 0b01001)))
+        with pytest.raises(RuntimeError, match="share a vertex"):
+            check_hyper_corollary(cycle(5))
 
 
 class TestConjecture2:
