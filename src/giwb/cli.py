@@ -117,7 +117,8 @@ def _cmd_search(args) -> int:
     )
     report = scan(config)
     _emit({"report": report.body_dict(),
-           "runtime": {"elapsed_seconds": report.elapsed_seconds}})
+           "runtime": {"elapsed_seconds": report.elapsed_seconds,
+                       "graphs_analysed": report.graphs_analysed}})
     if args.tsv and report.violations:
         print(report.violations_tsv(), file=sys.stderr)
     return 1 if report.theorem_violations else 0
@@ -133,8 +134,12 @@ def _cmd_catalog(args) -> int:
     if args.input:
         stream = graphs_from_file(args.input)
     else:
+        # alpha, tau and c are class invariants, and each class's canonical
+        # representative is the smallest mask of its orbit, streamed in
+        # ascending order: the first class reaching the minimum holds the
+        # first labeled graph reaching it, so min and witness are unchanged.
         n = args.n if args.n is not None else args.alpha + args.tau
-        stream = enumerate_graphs(n)
+        stream = enumerate_graphs(n, dedup=True)
     result: CatalogResult = catalog_min_edges(args.alpha, args.tau, args.c, stream)
     _emit({"catalog": dataclasses.asdict(result)})
     return 0

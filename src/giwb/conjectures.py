@@ -15,7 +15,7 @@ from typing import Optional
 
 from .bounds import HOLDS, NOT_APPLICABLE, Verdict, VIOLATED, _bound_verdict
 from .graphs import Graph, VertexMask, bits
-from .invariants import GraphAnalysis, maximum_stable_sets
+from .invariants import GraphAnalysis, maximum_stable_sets, stability_number
 
 
 @dataclass(frozen=True)
@@ -55,19 +55,24 @@ def _cliques_through(g: Graph, v: int, allowed: VertexMask, order: int) -> list[
     return out
 
 
-def clique_system_search(g: Graph, stable: VertexMask,
-                         order: int) -> Optional[CliqueSystem]:
+def clique_system_search(g: Graph, stable: VertexMask, order: int,
+                         alpha: Optional[int] = None) -> Optional[CliqueSystem]:
     """Exact backtracking search for a disjoint clique system: one clique of
     the given order through each vertex of the maximum stable set ``stable``,
     pairwise disjoint and meeting ``stable`` only in that vertex.
 
-    Candidates per vertex are enumerated once and tried in bit-pattern
-    order; stable-set vertices are processed in index order, so the witness
-    is deterministic.  Returns None only after exhausting the space.
+    ``stable`` must be stable with alpha(g) vertices; pass ``alpha`` when it
+    is known, else it is computed.  Candidates per vertex are enumerated
+    once and tried in bit-pattern order; stable-set vertices are processed
+    in index order, so the witness is deterministic.  Returns None only
+    after exhausting the space.
     """
     if order < 1:
         raise ValueError("clique order must be >= 1")
-    if stable not in maximum_stable_sets(g):
+    if alpha is None:
+        alpha = stability_number(g)
+    if (stable & ~g.full_mask or stable.bit_count() != alpha
+            or any(g.adj[v] & stable for v in bits(stable))):
         raise ValueError("the designated set is not a maximum stable set")
     members = bits(stable)
     candidates = []
@@ -121,7 +126,7 @@ def check_conjecture1_full(g: Graph,
         return Verdict(name, VIOLATED, lhs=bound.lhs, rhs=bound.rhs,
                        slack=bound.slack, witness={"failed": "bound"})
     for stable in maximum_stable_sets(g):
-        system = clique_system_search(g, stable, an.omega_e)
+        system = clique_system_search(g, stable, an.omega_e, an.alpha)
         if system is None:
             return Verdict(name, VIOLATED, lhs=bound.lhs, rhs=bound.rhs,
                            slack=bound.slack,

@@ -1,10 +1,16 @@
 """Exhaustive small-graph enumeration and the sharded check-scan harness.
 
-The labeled stream covers every edge mask (ascending), serving the "for all
-graphs" quantifiers directly; dedup keeps one representative per isomorphism
-class (the lexicographically minimal edge mask over all vertex permutations)
-and is opt-in for reporting economy.  Scans are sharded by stream-index
-residue with a commutative merge, so totals are shard-count independent.
+The labeled stream covers every edge mask (ascending); dedup keeps one
+representative per isomorphism class (the lexicographically minimal edge
+mask over all vertex permutations).  A labeled scan needs no labeled stream:
+every check is a function of the isomorphism class, so by orbit-stabilizer
+the labeled totals are the sum over classes of orbit size x verdict.  It
+checks each class representative once and weights it by n!/|Aut|; an orbit
+whose representative violates any check is replayed member by member, so
+labeling-dependent witnesses and the sorted violation list are exactly
+those of a scan over every edge mask.  Scans are sharded by stream-index
+residue (classes, for a labeled scan) with a commutative merge, so totals
+are shard-count independent.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -83,8 +90,10 @@ def _graph_from_mask(n: int, mask: int, edge_list) -> Graph:
     return g
 
 
-def _dedup_masks(n: int) -> Iterator[int]:
-    """Ascending canonical edge masks, one per isomorphism class.
+def _orbits(n: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Ascending canonical edge masks, one per isomorphism class, each with
+    its orbit: the mask's image under every vertex permutation, n! entries
+    in which each orbit member appears |Aut| times.
 
     Ascending iteration plus orbit marking makes the first mask seen in
     each orbit exactly the lexicographic minimum over all permutations.
@@ -104,7 +113,20 @@ def _dedup_masks(n: int) -> Iterator[int]:
         bitvals = (mask >> shifts) & 1
         orbit = (bitvals[np.newaxis, :] << perm_map).sum(axis=1)
         seen[orbit] = True
-        yield mask
+        yield mask, orbit
+
+
+def _labeled_count(n: int, connected_only: bool) -> int:
+    """Labeled graphs on n vertices: 2^C(n,2), or the connected ones by the
+    recurrence that splits off the component of vertex 0."""
+    if not connected_only:
+        return 1 << math.comb(n, 2)
+    conn = [0, 1]
+    for k in range(2, n + 1):
+        conn.append((1 << math.comb(k, 2)) - sum(
+            math.comb(k - 1, j - 1) * conn[j] * (1 << math.comb(k - j, 2))
+            for j in range(1, k)))
+    return conn[n]
 
 
 def enumerate_graphs(n: int, connected_only: bool = False,
@@ -115,7 +137,8 @@ def enumerate_graphs(n: int, connected_only: bool = False,
     if not 1 <= n <= ENUM_CAP:
         raise ValueError(f"enumeration supports 1 <= n <= {ENUM_CAP}")
     edge_list = _edge_list(n)
-    masks = _dedup_masks(n) if dedup else range(1 << len(edge_list))
+    masks = ((mask for mask, _ in _orbits(n)) if dedup
+             else range(1 << len(edge_list)))
     for mask in masks:
         g = _graph_from_mask(n, mask, edge_list)
         if connected_only and component_count(g) != 1:
@@ -127,7 +150,9 @@ def graphs_from_file(source: str) -> Iterator[Graph]:
     """Stream the graphs of the file ``source`` (``-``: stdin).  The first
     line neither blank nor a ``#`` comment picks the format: ``n <count>``
     makes the input one edge-list graph, anything else is graph6, one graph
-    per such line.  An input without a graph raises GraphFormatError."""
+    per such line.  An input without a graph raises GraphFormatError; a
+    graph6 parse error names its physical line, counting blank and comment
+    lines."""
     with (contextlib.nullcontext(sys.stdin) if source == "-"
           else open(source, encoding="utf-8")) as fh:
         head = []
@@ -140,9 +165,13 @@ def graphs_from_file(source: str) -> Iterator[Graph]:
         if head[-1].split()[0] == "n":  # the header parse_counted reads
             yield parse_edge_list("".join(head) + fh.read())
             return
-        for line in itertools.chain(head, fh):
+        for line_no, line in enumerate(itertools.chain(head, fh), 1):
             if is_significant(line):
-                yield parse_graph6(line)
+                try:
+                    g = parse_graph6(line)
+                except GraphFormatError as exc:
+                    raise GraphFormatError(f"line {line_no}: {exc}") from None
+                yield g
 
 
 def check_verdicts(g: Graph, names) -> Iterator[tuple[str, Verdict]]:
@@ -158,8 +187,9 @@ class ScanConfig:
     """What to scan and with which checks.
 
     Exactly one source: ``n`` (exhaustive enumeration) or ``path`` (read by
-    ``graphs_from_file``).  ``shard_count`` partitions the stream by index
-    residue; totals are independent of it by construction.
+    ``graphs_from_file``).  ``shard_count`` partitions the stream (the
+    class stream, for a labeled scan) by index residue; totals are
+    independent of it by construction.
     """
 
     checks: tuple[str, ...]
@@ -191,19 +221,20 @@ class CheckTotals:
     not_applicable: int = 0
     unchecked: int = 0
 
-    def add(self, v: Verdict) -> None:
+    def add(self, v: Verdict, weight: int = 1) -> None:
+        """Count ``v`` for ``weight`` graphs (an orbit shares its verdict)."""
         if v.status == HOLDS:
-            self.applicable += 1
-            self.holds += 1
+            self.applicable += weight
+            self.holds += weight
             if v.equality:
-                self.equality += 1
+                self.equality += weight
         elif v.status == VIOLATED:
-            self.applicable += 1
-            self.violated += 1
+            self.applicable += weight
+            self.violated += weight
         elif v.status == UNCHECKED:
-            self.unchecked += 1
+            self.unchecked += weight
         else:
-            self.not_applicable += 1
+            self.not_applicable += weight
 
     def merge(self, other: "CheckTotals") -> None:
         for f in fields(self):
@@ -215,13 +246,19 @@ class CheckTotals:
 
 @dataclass
 class ScanReport:
-    """Totals per check plus the replayable violation list."""
+    """Totals per check plus the replayable violation list.
+
+    ``graphs_analysed`` counts the graphs whose checks ran (class
+    representatives plus replayed orbit members for a labeled scan); like
+    ``elapsed_seconds`` it is runtime, not body.
+    """
 
     config: ScanConfig
     graph_count: int = 0
     totals: dict[str, CheckTotals] = field(default_factory=dict)
     violations: list[dict] = field(default_factory=list)
     elapsed_seconds: float = 0.0
+    graphs_analysed: int = 0
 
     @property
     def theorem_violations(self) -> list[dict]:
@@ -230,6 +267,21 @@ class ScanReport:
     @property
     def finding_violations(self) -> list[dict]:
         return [v for v in self.violations if v["check"] not in THEOREM_CHECKS]
+
+    def add(self, g: Graph, verdicts, weight: int = 1) -> None:
+        """Count ``g``'s ``(name, verdict)`` pairs for ``weight`` graphs and
+        record its violations; only a single labeled graph may violate."""
+        self.graph_count += weight
+        self.graphs_analysed += 1
+        g6: Optional[str] = None
+        for name, verdict in verdicts:
+            self.totals[name].add(verdict, weight)
+            if verdict.status == VIOLATED:
+                if weight != 1:
+                    raise RuntimeError("a violation was weighted, not replayed")
+                if g6 is None:
+                    g6 = to_graph6(g)
+                self.violations.append(_verdict_record(g6, name, verdict))
 
     def body_dict(self) -> dict:
         """Deterministic report body (runtime stats excluded)."""
@@ -269,40 +321,84 @@ def _verdict_record(graph6: str, name: str, v: Verdict) -> dict:
     return rec
 
 
-def scan(config: ScanConfig) -> ScanReport:
-    """Evaluate every configured check on every stream graph.
-
-    Internally a single pass with per-shard sub-totals merged at the end:
-    the merge is commutative counting plus a sorted violation list, which
-    guarantees byte-identical report bodies for any shard count.
-    """
-    started = time.monotonic()
+def _scan_stream(config: ScanConfig, shards: list[ScanReport]) -> None:
+    """Dedup and file scans: every stream graph counts once."""
     if config.path is not None:
         stream = graphs_from_file(config.path)
     else:
-        stream = enumerate_graphs(config.n, config.connected_only, config.dedup)
+        stream = enumerate_graphs(config.n, config.connected_only, dedup=True)
+    for idx, g in enumerate(stream):
+        shards[idx % config.shard_count].add(
+            g, check_verdicts(g, config.checks))
 
+
+def _scan_orbits(config: ScanConfig, shards: list[ScanReport]) -> None:
+    """Labeled scans: each class counts for its orbit of n!/|Aut| labeled
+    graphs; an orbit whose representative violates a check is replayed
+    member by member, reusing the representative's own verdicts."""
+    n, checks = config.n, config.checks
+    edge_list = _edge_list(n)
+    n_perms = math.factorial(n)
+    idx = 0
+    for mask, orbit in _orbits(n):
+        g = _graph_from_mask(n, mask, edge_list)
+        if config.connected_only and component_count(g) != 1:
+            continue
+        shard = shards[idx % config.shard_count]
+        idx += 1
+        weight = n_perms // int(np.count_nonzero(orbit == mask))
+        verdicts = list(check_verdicts(g, checks))
+        if all(v.status != VIOLATED for _, v in verdicts):
+            shard.add(g, verdicts, weight)
+            continue
+        members = np.unique(orbit)
+        if len(members) != weight:
+            raise RuntimeError(f"orbit of edge mask {mask} on {n} vertices "
+                               f"has {len(members)} members, not {weight}")
+        for member in members:
+            if member == mask:
+                shard.add(g, verdicts)
+                continue
+            h = _graph_from_mask(n, int(member), edge_list)
+            shard.add(h, check_verdicts(h, checks))
+
+
+def scan(config: ScanConfig) -> ScanReport:
+    """Evaluate every configured check on every graph of the source.
+
+    A labeled scan (``n`` without ``dedup``) checks one representative per
+    isomorphism class and weights its verdicts by its orbit size n!/|Aut|;
+    any orbit with a violation is replayed member by member, so the body is
+    byte-identical to checking every edge mask.  The weights must add up to
+    2^C(n,2) labeled graphs (the connected ones under ``connected_only``),
+    else RuntimeError.  Internally a single pass with per-shard sub-totals
+    merged at the end: the merge is commutative counting plus a sorted
+    violation list, which guarantees byte-identical report bodies for any
+    shard count.
+    """
+    started = time.monotonic()
     shards = [ScanReport(config=config,
                          totals={c: CheckTotals() for c in config.checks})
               for _ in range(config.shard_count)]
-    for idx, g in enumerate(stream):
-        shard = shards[idx % config.shard_count]
-        shard.graph_count += 1
-        g6: Optional[str] = None
-        for name, verdict in check_verdicts(g, config.checks):
-            shard.totals[name].add(verdict)
-            if verdict.status == VIOLATED:
-                if g6 is None:
-                    g6 = to_graph6(g)
-                shard.violations.append(_verdict_record(g6, name, verdict))
+    labeled = config.path is None and not config.dedup
+    if labeled:
+        _scan_orbits(config, shards)
+    else:
+        _scan_stream(config, shards)
 
     report = ScanReport(config=config,
                         totals={c: CheckTotals() for c in config.checks})
     for shard in shards:
         report.graph_count += shard.graph_count
+        report.graphs_analysed += shard.graphs_analysed
         for name in config.checks:
             report.totals[name].merge(shard.totals[name])
         report.violations.extend(shard.violations)
+    if labeled:
+        want = _labeled_count(config.n, config.connected_only)
+        if report.graph_count != want:
+            raise RuntimeError(f"orbit weights add up to {report.graph_count} "
+                               f"graphs, not the {want} labeled graphs")
     report.violations.sort(key=lambda rec: (rec["graph6"], rec["check"]))
     report.elapsed_seconds = time.monotonic() - started
     return report

@@ -2,15 +2,18 @@
 
 The oracles here deliberately avoid the library's fast paths: stability via
 raw subset enumeration, cores via explicit maximum-stable-set intersection,
-matchings via permutation pairing.  They are the ground truth the optimized
-code is measured against.
+matchings via permutation pairing, labeled scans by checking every edge
+mask.  They are the ground truth the optimized code is measured against.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from giwb.graphs import Graph, bits, from_edges
+from giwb.bounds import VIOLATED
+from giwb.graphs import Graph, bits, from_edges, to_graph6
+from giwb.harness import (CheckTotals, ScanConfig, ScanReport,
+                          _verdict_record, check_verdicts, enumerate_graphs)
 
 
 def cycle(n: int) -> Graph:
@@ -91,3 +94,19 @@ def all_labeled_graphs(n: int):
     for r in range(len(pairs) + 1):
         for chosen in itertools.combinations(pairs, r):
             yield from_edges(n, chosen)
+
+
+def brute_force_scan(config: ScanConfig) -> ScanReport:
+    """Reference labeled scan: every configured check on every labeled
+    graph of the stream, without orbit weighting or shards."""
+    report = ScanReport(config=config,
+                        totals={c: CheckTotals() for c in config.checks})
+    for g in enumerate_graphs(config.n, config.connected_only):
+        report.graph_count += 1
+        for name, verdict in check_verdicts(g, config.checks):
+            report.totals[name].add(verdict)
+            if verdict.status == VIOLATED:
+                report.violations.append(
+                    _verdict_record(to_graph6(g), name, verdict))
+    report.violations.sort(key=lambda rec: (rec["graph6"], rec["check"]))
+    return report

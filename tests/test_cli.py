@@ -118,6 +118,9 @@ class TestSearch:
         assert report["graph_count"] == 64
         assert report["violations"] == []
         assert "elapsed_seconds" in records[0]["runtime"]
+        # 64 labeled graphs, checked once per isomorphism class.
+        assert records[0]["runtime"]["graphs_analysed"] == 11
+        assert "graphs_analysed" not in report
 
     def test_unknown_check_name(self, capsys):
         code, _, captured = run(capsys, "search", "--n", "3",
@@ -193,6 +196,19 @@ class TestInputs:
         code, records, captured = run(capsys, "invariants", str(path))
         assert code == 2 and [r["graph6"] for r in records] == ["Bw"]
         assert "giwb: error:" in captured.err
+
+
+    @pytest.mark.parametrize("text, line", [
+        ("Bw\nBw\nzz\nBw\n", 3),
+        ("# two triangles, then junk\nBw\n\nBw\nzz\n", 5),
+    ])
+    def test_graph6_parse_error_names_its_line(self, capsys, tmp_path,
+                                                text, line):
+        path = tmp_path / "bad.g6"
+        path.write_text(text)
+        code, records, captured = run(capsys, "invariants", str(path))
+        assert code == 2 and len(records) == 2
+        assert f"giwb: error: line {line}: byte 2: " in captured.err
 
 
 class TestErrors:

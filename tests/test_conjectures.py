@@ -68,6 +68,36 @@ class TestCliqueSystem:
         with pytest.raises(ValueError, match="order"):
             clique_system_search(cycle(5), 0b00101, 0)
 
+    @pytest.mark.parametrize("stable", [
+        0b00001,    # stable but below alpha = 2
+        0b00011,    # alpha vertices, but 0-1 is an edge of C_5
+        0b10100,    # alpha vertices, but 2-4 is no edge: stable, maximum
+        0b100001,   # a vertex beyond n
+    ])
+    def test_precondition_with_and_without_known_alpha(self, stable):
+        g = cycle(5)
+        for alpha in (None, 2):
+            if stable == 0b10100:
+                assert clique_system_search(g, stable, 2, alpha) is not None
+                continue
+            with pytest.raises(ValueError, match="not a maximum stable set"):
+                clique_system_search(g, stable, 2, alpha)
+
+    def test_full_check_enumerates_maximal_sets_once(self, monkeypatch):
+        import giwb.invariants as invariants
+        calls = []
+        real = invariants.maximal_stable_sets
+
+        def counted(g):
+            calls.append(g)
+            return real(g)
+        monkeypatch.setattr(invariants, "maximal_stable_sets", counted)
+        g = cycle(7)  # seven maximum stable sets, one search each
+        assert len(maximum_stable_sets(g)) == 7
+        calls.clear()
+        assert check_conjecture1_full(g).status == HOLDS
+        assert len(calls) == 1
+
     def test_validate_rejects_bad_systems(self):
         g = cycle(4)
         stable = 0b0101

@@ -1,14 +1,22 @@
 """Enumeration streams and the sharded scan harness."""
 
+import dataclasses
 import io
+import itertools
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from giwb.bounds import are_isomorphic
-from giwb.graphs import GraphFormatError, to_graph6
+import giwb.harness as harness
+from conftest import brute_force_scan
+from giwb.bounds import VIOLATED, Verdict, are_isomorphic, catalog_min_edges
+from giwb.graphs import (GraphFormatError, component_count, from_edges,
+                         to_graph6)
 from giwb.harness import (CHECKS, THEOREM_CHECKS, ScanConfig,
                           enumerate_graphs, graphs_from_file,
                           normalize_check_name, scan)
+from giwb.invariants import GraphAnalysis
 
 
 class TestEnumeration:
@@ -63,6 +71,27 @@ class TestEnumeration:
         path.write_text("\n   \n# only a comment\n")
         with pytest.raises(GraphFormatError, match="no graphs in input"):
             list(graphs_from_file(str(path)))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_catalog_over_classes_equals_catalog_over_labeled_graphs(self, n):
+        # Streams are pre-split by (alpha, tau, c) so that each graph is
+        # analysed once; the split keeps stream order and drops only graphs
+        # the catalog would skip, so it leaves each catalog unchanged.
+        def split(stream):
+            groups = {}
+            for g in stream:
+                an = GraphAnalysis(g)
+                groups.setdefault((an.alpha, an.tau, component_count(g)),
+                                  []).append(g)
+            return groups
+        labeled = split(enumerate_graphs(n))
+        classes = split(enumerate_graphs(n, dedup=True))
+        assert labeled.keys() == classes.keys()
+        for alpha in range(1, n + 1):
+            for c in range(1, n + 1):
+                key = (alpha, n - alpha, c)
+                assert (catalog_min_edges(*key, classes.get(key, []))
+                        == catalog_min_edges(*key, labeled.get(key, []))), key
 
 
 class TestScanConfig:
@@ -133,3 +162,77 @@ class TestScan:
         rep = scan(ScanConfig(checks=("theorem1",), n=3))
         assert rep.violations_tsv().splitlines()[0] == \
             "graph6\tcheck\tlhs\trhs\tslack"
+
+
+@st.composite
+def relabeled_pairs(draw):
+    """A random graph on at most 7 vertices and a random relabeling of it."""
+    n = draw(st.integers(1, 7))
+    pairs = list(itertools.combinations(range(n), 2))
+    mask = draw(st.integers(0, (1 << len(pairs)) - 1))
+    perm = draw(st.permutations(range(n)))
+    edges = [e for i, e in enumerate(pairs) if mask >> i & 1]
+    return (from_edges(n, edges),
+            from_edges(n, [(perm[u], perm[v]) for u, v in edges]))
+
+
+class TestOrbitWeighting:
+    @settings(max_examples=200, deadline=None)
+    @given(relabeled_pairs())
+    def test_every_check_is_invariant_under_relabeling(self, pair):
+        g, h = pair
+        for name, check in CHECKS.items():
+            a, b = check(g, GraphAnalysis(g)), check(h, GraphAnalysis(h))
+            assert ((a.status, a.equality, a.lhs, a.rhs, a.slack)
+                    == (b.status, b.equality, b.lhs, b.rhs, b.slack)), name
+
+    @pytest.mark.parametrize("connected_only", [False, True])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_weighted_scan_equals_brute_force(self, n, connected_only):
+        config = ScanConfig(checks=tuple(CHECKS), n=n,
+                            connected_only=connected_only)
+        want = brute_force_scan(config).body_text()
+        for shards in (1, 3):
+            got = scan(dataclasses.replace(config, shard_count=shards))
+            assert got.body_text() == want, shards
+
+    def test_violating_orbits_are_replayed_member_by_member(self,
+                                                            monkeypatch):
+        # Real scans find no violations, so inject one on an invariant
+        # property, with a witness that depends on the labeling.
+        real = CHECKS["theorem1"]
+
+        def three_or_four_edges_violate(g, an):
+            v = real(g, an)
+            if g.edge_count not in (3, 4):
+                return v
+            return Verdict("theorem1", VIOLATED, lhs=v.lhs, rhs=v.rhs,
+                           slack=-1, witness={"edges": list(g.edges())})
+        monkeypatch.setitem(CHECKS, "theorem1", three_or_four_edges_violate)
+        for n, connected_only in [(4, False), (5, False), (5, True)]:
+            config = ScanConfig(checks=("theorem1", "edge-bound"), n=n,
+                                connected_only=connected_only)
+            want = brute_force_scan(config)
+            assert want.violations
+            for shards in (1, 3):
+                got = scan(dataclasses.replace(config, shard_count=shards))
+                assert got.body_text() == want.body_text()
+        # n = 4: 11 classes; the 3-edge ones (K_3 + K_1, P_4, K_1,3) have
+        # orbits of 4, 12 and 4 graphs, the 4-edge ones (C_4, the paw) of 3
+        # and 12, and the other 35 - 5 members of these orbits are replayed.
+        rep = scan(ScanConfig(checks=("theorem1",), n=4))
+        assert len(rep.violations) == math.comb(6, 3) + math.comb(6, 4)
+        assert rep.graphs_analysed == 11 + 30
+
+    def test_unreplayed_runs_analyse_one_graph_per_class(self):
+        rep = scan(ScanConfig(checks=("theorem1",), n=6))
+        assert (rep.graph_count, rep.graphs_analysed) == (1 << 15, 156)
+        dedup = scan(ScanConfig(checks=("theorem1",), n=6, dedup=True))
+        assert dedup.graph_count == dedup.graphs_analysed == 156
+
+    def test_weights_that_miss_a_class_are_an_error(self, monkeypatch):
+        real = harness._orbits
+        monkeypatch.setattr(harness, "_orbits",
+                            lambda n: itertools.islice(real(n), 1, None))
+        with pytest.raises(RuntimeError, match="orbit weights add up to"):
+            scan(ScanConfig(checks=("theorem1",), n=4))
