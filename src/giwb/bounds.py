@@ -13,18 +13,13 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .gamma import gamma_closed
-from .graphs import (Graph, component_count, from_edges, induced_subgraph,
-                     to_graph6)
+from .graphs import Graph, bits, component_count, from_edges, to_graph6
 from .invariants import GraphAnalysis
 
 HOLDS = "holds"
 VIOLATED = "violated"
 NOT_APPLICABLE = "not-applicable"
 UNCHECKED = "unchecked"
-
-# Isomorphism search is brute-force permutation with degree pruning; past
-# this order the equality classifier reports "unchecked" instead of guessing.
-ISO_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -76,9 +71,13 @@ def classify_equality_theorem1(g: Graph,
     count: each component must be a clique K_k whose every vertex carries
     the same number ell >= 1 of pendant leaves.  The connected case is the
     single clique-of-stars family; disconnected equality cases (e.g. two
-    disjoint 2-leaf stars) force the union form.  Decision is by brute-force
-    isomorphism of each component against the constructed family graph; the
-    fitted ell is reported alongside alpha - sigma_v + 1.
+    disjoint 2-leaf stars) force the union form.  The blocks are recognized
+    directly, so the classification is exact at every order: a 2-vertex
+    component is (k, ell) = (1, 1); in a larger one the leaves are the
+    degree-1 vertices, the other k vertices must form a clique, and each of
+    them must carry the same ell >= 1 leaves (a leaf's neighbour is never a
+    leaf there).  Components are fitted in ``connected_components`` order;
+    the fitted (k, ell) pairs are reported alongside alpha - sigma_v + 1.
     """
     name = "theorem1-equality"
     an = an or GraphAnalysis(g)
@@ -89,20 +88,13 @@ def classify_equality_theorem1(g: Graph,
     from .graphs import connected_components
 
     fitted: list[tuple[int, int]] = []
-    leaf_counts = set()
     for comp in connected_components(g):
-        sub = induced_subgraph(g, comp)
-        if sub.n > ISO_CAP:
-            return Verdict(name, UNCHECKED)
-        sub_an = GraphAnalysis(sub)
-        k = sub_an.tau
-        if k < 1 or sub.n % k:
-            return Verdict(name, VIOLATED, witness={"component_order": sub.n})
-        ell = sub.n // k - 1
-        if ell < 1 or not are_isomorphic(sub, clique_of_stars(k, ell)):
-            return Verdict(name, VIOLATED, witness={"component_order": sub.n})
-        fitted.append((k, ell))
-        leaf_counts.add(ell)
+        block = _clique_of_stars_shape(g, comp)
+        if block is None:
+            return Verdict(name, VIOLATED,
+                           witness={"component_order": comp.bit_count()})
+        fitted.append(block)
+    leaf_counts = {ell for _, ell in fitted}
     if len(leaf_counts) != 1:
         return Verdict(name, VIOLATED, witness={"leaf_counts": sorted(leaf_counts)})
     ell = leaf_counts.pop()
@@ -113,6 +105,20 @@ def classify_equality_theorem1(g: Graph,
         "components": fitted,
     }
     return Verdict(name, HOLDS, equality=True, witness=witness)
+
+
+def _clique_of_stars_shape(g: Graph, comp: int) -> Optional[tuple[int, int]]:
+    """(k, ell) when the component ``comp`` of ``g`` is clique_of_stars(k,
+    ell), else None."""
+    if comp.bit_count() == 2:
+        return 1, 1
+    leaves = sum(1 << v for v in bits(comp) if g.degree(v) == 1)
+    centers = comp & ~leaves
+    carried = {(g.adj[c] & leaves).bit_count() for c in bits(centers)}
+    if len(carried) != 1 or 0 in carried or any(
+            g.adj[c] & centers != centers & ~(1 << c) for c in bits(centers)):
+        return None
+    return centers.bit_count(), carried.pop()
 
 
 def check_cor1(g: Graph, an: Optional[GraphAnalysis] = None) -> Verdict:
@@ -247,8 +253,7 @@ def generate_family(spec: FamilySpec) -> Graph:
 def are_isomorphic(g: Graph, h: Graph) -> bool:
     """Brute-force vertex-permutation isomorphism with degree pruning.
 
-    Intended for n <= ISO_CAP; callers above the cap must report
-    "unchecked" rather than invoke this.
+    A desk helper: no check calls it, and its search is exponential in n.
     """
     if g.n != h.n or g.edge_count != h.edge_count:
         return False

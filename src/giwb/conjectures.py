@@ -168,9 +168,9 @@ def check_conjecture3(g: Graph, an: Optional[GraphAnalysis] = None) -> Verdict:
 def check_omega_v_substitution(g: Graph,
                                an: Optional[GraphAnalysis] = None) -> Verdict:
     """Descriptive check of omega_v * sigma_v <= n on B-graphs without
-    isolated vertices.  Violations are expected to exist (the per-vertex
-    clique invariant cannot replace the per-edge one) and are reported as
-    findings, never failures."""
+    isolated vertices.  Violations are known from n = 8 on (FINDINGS.md):
+    the per-vertex clique invariant cannot replace the per-edge one.  They
+    are reported as findings, never failures."""
     name = "omega-v-sub"
     an = an or GraphAnalysis(g)
     if g.n == 0 or g.has_isolated_vertex() or not an.is_b_graph:

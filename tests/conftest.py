@@ -2,30 +2,21 @@
 
 The oracles here deliberately avoid the library's fast paths: stability via
 raw subset enumeration, cores via explicit maximum-stable-set intersection,
-matchings via permutation pairing, labeled scans by checking every edge
-mask.  They are the ground truth the optimized code is measured against.
+matchings via permutation pairing, clique systems by trying every clique
+choice, scans by checking every stream graph without the class walk, and
+clique-of-stars blocks by isomorphism search.  They are the ground truth
+the optimized code is measured against.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from giwb.bounds import VIOLATED
-from giwb.graphs import Graph, bits, from_edges, to_graph6
+from giwb.bounds import VIOLATED, are_isomorphic, clique_of_stars
+from giwb.graphs import Graph, bits, from_edges, induced_subgraph, to_graph6
 from giwb.harness import (CheckTotals, ScanConfig, ScanReport,
                           _verdict_record, check_verdicts, enumerate_graphs)
-
-
-def cycle(n: int) -> Graph:
-    return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def path(n: int) -> Graph:
-    return from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def complete(n: int) -> Graph:
-    return from_edges(n, itertools.combinations(range(n), 2))
+from giwb.invariants import GraphAnalysis
 
 
 def edgeless(n: int) -> Graph:
@@ -96,12 +87,70 @@ def all_labeled_graphs(n: int):
             yield from_edges(n, chosen)
 
 
+def complement_oracle(g: Graph) -> Graph:
+    return Graph(g.n, tuple(g.full_mask & ~(row | 1 << v)
+                            for v, row in enumerate(g.adj)))
+
+
+def sigma_v_oracle(g: Graph) -> int:
+    """min over v of the largest stable set through v: 1 + alpha of the
+    closed non-neighbourhood V - N[v], by subset enumeration."""
+    return min(1 + alpha_oracle(g, g.full_mask & ~(g.adj[v] | 1 << v))
+               for v in range(g.n))
+
+
+def omega_e_oracle(g: Graph) -> int:
+    """min over edges uv of the largest clique through uv: 2 + the clique
+    number of the common neighbourhood, by subset enumeration."""
+    co = complement_oracle(g)
+    return min(2 + alpha_oracle(co, g.adj[u] & g.adj[v]) for u, v in g.edges())
+
+
+def clique_systems_oracle(g: Graph, stable: int, order: int) -> list[tuple]:
+    """All valid systems by raw enumeration: one clique per stable vertex,
+    pairwise disjoint, each meeting the stable set in that vertex only."""
+    members = bits(stable)
+    all_cliques = [m for m in range(1 << g.n)
+                   if m.bit_count() == order
+                   and all(g.has_edge(u, v)
+                           for u, v in itertools.combinations(bits(m), 2))]
+    per_vertex = [[m for m in all_cliques
+                   if m >> v & 1 and (m & stable) == 1 << v]
+                  for v in members]
+    systems = []
+    for combo in itertools.product(*per_vertex):
+        used = 0
+        for part in combo:
+            if part & used:
+                break
+            used |= part
+        else:
+            systems.append(combo)
+    return systems
+
+
+def clique_of_stars_fit_reference(g: Graph, comp: int):
+    """(k, ell) when the component ``comp`` of ``g`` is isomorphic to
+    clique_of_stars(k, ell), else None: k is the component's tau, ell is
+    its order / k - 1, and the decision is a permutation search."""
+    sub = induced_subgraph(g, comp)
+    k = GraphAnalysis(sub).tau
+    if k < 1 or sub.n % k:
+        return None
+    ell = sub.n // k - 1
+    if ell < 1 or not are_isomorphic(sub, clique_of_stars(k, ell)):
+        return None
+    return k, ell
+
+
 def brute_force_scan(config: ScanConfig) -> ScanReport:
-    """Reference labeled scan: every configured check on every labeled
-    graph of the stream, without orbit weighting or shards."""
+    """Reference scan: every configured check on every graph of
+    ``enumerate_graphs`` (each labeled graph, or each class representative
+    with ``dedup``), without the class walk, orbit weighting or shards."""
     report = ScanReport(config=config,
                         totals={c: CheckTotals() for c in config.checks})
-    for g in enumerate_graphs(config.n, config.connected_only):
+    for g in enumerate_graphs(config.n, config.connected_only,
+                              dedup=config.dedup):
         report.graph_count += 1
         for name, verdict in check_verdicts(g, config.checks):
             report.totals[name].add(verdict)

@@ -1,15 +1,19 @@
 """Bound checkers, the equality classifier, families, isomorphism, catalogs."""
 
+import random
+
 import pytest
 
-from conftest import complete as k_n, cycle, edgeless, path
+from conftest import clique_of_stars_fit_reference, edgeless
 from giwb.bounds import (FAMILY_KINDS, FamilySpec, HOLDS, NOT_APPLICABLE,
-                         UNCHECKED, are_isomorphic, catalog_min_edges,
-                         check_berge, check_cor1, check_edge_bound,
-                         check_galvin_goddard, check_theorem1,
-                         classify_equality_theorem1, clique_of_stars,
-                         generate_family, star)
-from giwb.graphs import Graph, from_edges
+                         _clique_of_stars_shape, are_isomorphic,
+                         catalog_min_edges, check_berge, check_cor1,
+                         check_edge_bound, check_galvin_goddard,
+                         check_theorem1, classify_equality_theorem1,
+                         clique_of_stars, complete as k_n, cycle,
+                         generate_family, path, star)
+from giwb.graphs import Graph, connected_components, from_edges
+from giwb.harness import enumerate_graphs
 
 P3_PLUS_P3 = from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
 
@@ -54,9 +58,48 @@ class TestEqualityClassifier:
         assert classify_equality_theorem1(k_n(2)).status == NOT_APPLICABLE
         assert classify_equality_theorem1(cycle(5)).status == NOT_APPLICABLE
 
-    def test_unchecked_above_isomorphism_cap(self):
-        big = clique_of_stars(3, 4)  # 15 vertices
-        assert classify_equality_theorem1(big).status == UNCHECKED
+    def test_exact_on_15_vertices(self):
+        v = classify_equality_theorem1(clique_of_stars(3, 4))
+        assert v.status == HOLDS
+        assert v.witness["components"] == [(3, 4)]
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_recognizer_equals_isomorphism_reference_on_every_class(self, n):
+        for g in enumerate_graphs(n, dedup=True):
+            comps = connected_components(g)
+            fits = [clique_of_stars_fit_reference(g, c) for c in comps]
+            assert [_clique_of_stars_shape(g, c) for c in comps] == fits, g
+            v = classify_equality_theorem1(g)
+            if v.status == HOLDS:
+                assert v.witness["components"] == fits
+
+    @pytest.mark.parametrize("k, ell", [(k, ell) for k in range(1, 6)
+                                        for ell in range(1, 15 // k)])
+    def test_recognizer_on_relabeled_blocks_and_near_misses(self, k, ell):
+        g = clique_of_stars(k, ell)
+        perm = random.Random(k * 100 + ell).sample(range(g.n), g.n)
+        edges = [(perm[u], perm[v]) for u, v in g.edges()]
+        leaves = [(perm[c], perm[k + c * ell]) for c in range(k)]
+        variants = [edges]
+        if k >= 2:  # a leaf moved to another center
+            variants.append([e for e in edges if e != leaves[0]]
+                            + [(leaves[1][0], leaves[0][1])])
+            # a missing clique edge
+            variants.append([e for e in edges
+                             if e != (perm[0], perm[1])])
+        if k >= 2 or ell >= 2:  # an edge between two leaves
+            other = leaves[1][1] if k >= 2 else perm[2]
+            variants.append(edges + [(leaves[0][1], other)])
+        for i, variant in enumerate(variants):
+            h = from_edges(g.n, variant)
+            comps = connected_components(h)
+            fits = [_clique_of_stars_shape(h, c) for c in comps]
+            assert fits == [clique_of_stars_fit_reference(h, c)
+                            for c in comps], i
+            if i == 0:
+                assert fits == [(k, ell)]
+            elif k >= 3:  # smaller near misses can be blocks again
+                assert None in fits, i
 
 
 class TestOtherBounds:

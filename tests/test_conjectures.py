@@ -1,39 +1,17 @@
 """Clique systems and the conjecture checkers."""
 
-import itertools
-
 import pytest
 
-from conftest import complete as k_n, cycle, edgeless, path
-from giwb.bounds import HOLDS, NOT_APPLICABLE
+from conftest import (clique_systems_oracle, complement_oracle, edgeless,
+                      maximum_stable_sets_oracle, omega_e_oracle,
+                      sigma_v_oracle)
+from giwb.bounds import (HOLDS, NOT_APPLICABLE, VIOLATED, complete as k_n,
+                         cycle, path)
 from giwb.conjectures import (CliqueSystem, check_conjecture1_bound,
                               check_conjecture1_full, check_conjecture3,
                               check_omega_v_substitution, clique_system_search)
-from giwb.graphs import bits, from_edges, mask_of
+from giwb.graphs import from_edges, mask_of, parse_graph6
 from giwb.invariants import maximum_stable_sets
-
-
-def clique_systems_oracle(g, stable, order):
-    """All valid systems by raw enumeration: one clique per stable vertex,
-    pairwise disjoint, each meeting the stable set in that vertex only."""
-    members = bits(stable)
-    all_cliques = [m for m in range(1 << g.n)
-                   if m.bit_count() == order
-                   and all(g.has_edge(u, v)
-                           for u, v in itertools.combinations(bits(m), 2))]
-    per_vertex = [[m for m in all_cliques
-                   if m >> v & 1 and (m & stable) == 1 << v]
-                  for v in members]
-    systems = []
-    for combo in itertools.product(*per_vertex):
-        used = 0
-        for part in combo:
-            if part & used:
-                break
-            used |= part
-        else:
-            systems.append(combo)
-    return systems
 
 
 class TestCliqueSystem:
@@ -149,7 +127,6 @@ class TestConjecture3:
         # P_3 and K_{1,3} satisfy the raw equalities alpha = sigma_e and
         # omega = omega_e only because the sigma chain breaks at their
         # dominating vertex; the checker keeps them not-applicable.
-        from conftest import path
         star3 = from_edges(4, [(0, 1), (0, 2), (0, 3)])
         assert check_conjecture3(path(3)).status == NOT_APPLICABLE
         assert check_conjecture3(star3).status == NOT_APPLICABLE
@@ -163,3 +140,40 @@ class TestOmegaVSubstitution:
 
     def test_filters(self):
         assert check_omega_v_substitution(path(3)).status == NOT_APPLICABLE
+
+
+def _b_graph_oracle(g):
+    """No isolated vertex, and every vertex lies in a maximum stable set
+    (an empty tau-core)."""
+    union = 0
+    for s in maximum_stable_sets_oracle(g):
+        union |= s
+    return not g.has_isolated_vertex() and union == g.full_mask
+
+
+class TestFindings:
+    """The first conjecture findings (FINDINGS.md), each re-derived by the
+    subset-enumeration oracles of conftest."""
+
+    def test_omega_v_substitution_fails_on_8_vertices(self):
+        g = parse_graph6("GB]eCK")
+        assert g.n == 8 and _b_graph_oracle(g)
+        sigma_v = sigma_v_oracle(g)
+        omega_v = sigma_v_oracle(complement_oracle(g))
+        assert (omega_v, sigma_v) == (3, 3) and omega_v * sigma_v > g.n
+        v = check_omega_v_substitution(g)
+        assert (v.status, v.lhs, v.rhs) == (VIOLATED, 9, 8)
+        assert v.witness == {"omega_v": 3, "sigma_v": 3}
+
+    def test_conjecture1_clique_system_fails_on_9_vertices(self):
+        g = parse_graph6("HcdePhT")
+        assert g.n == 9 and _b_graph_oracle(g)
+        omega_e, sigma_v = omega_e_oracle(g), sigma_v_oracle(g)
+        assert (omega_e, sigma_v) == (3, 3)  # the bound holds: 9 <= 9
+        maxes = maximum_stable_sets_oracle(g)
+        assert len(maxes) == 8 and mask_of([1, 2, 3]) in maxes
+        for stable in maxes:
+            assert clique_systems_oracle(g, stable, omega_e) == [], stable
+        v = check_conjecture1_full(g)
+        assert (v.status, v.lhs, v.rhs) == (VIOLATED, 9, 9)
+        assert v.witness == {"failed": "clique-system", "stable_set": [1, 2, 3]}

@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import complete, cycle, edgeless, path
+from conftest import edgeless
+from giwb.bounds import complete, cycle, path
 from giwb.graphs import (Graph, GraphFormatError, bits, bridges, complement,
                          component_count, connected_components, from_edges,
                          induced_subgraph, mask_of, neighbor_set,

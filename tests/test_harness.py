@@ -103,10 +103,11 @@ class TestScanConfig:
         assert cfg.checks == ("theorem1",)
 
     def test_source_exclusivity(self):
-        with pytest.raises(ValueError, match="exactly one"):
+        # The order is the only source.
+        with pytest.raises(TypeError, match="'n'"):
             ScanConfig(checks=("theorem1",))
-        with pytest.raises(ValueError, match="exactly one"):
-            ScanConfig(checks=("theorem1",), n=3, path="x.g6")
+        with pytest.raises(ValueError, match="1 <= n <= 7"):
+            ScanConfig(checks=("theorem1",), n=8)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="shard_count"):
@@ -150,14 +151,6 @@ class TestScan:
         dedup = scan(ScanConfig(checks=("theorem1",), n=4, dedup=True))
         assert bool(labeled.violations) == bool(dedup.violations) == False
 
-    def test_file_source(self, tmp_path):
-        path = tmp_path / "in.g6"
-        path.write_text("Dhc\nCl\n")
-        rep = scan(ScanConfig(checks=("theorem1",), path=str(path)))
-        assert rep.graph_count == 2
-        assert rep.totals["theorem1"].holds == 2
-        assert rep.body_dict()["source"] == {"file": str(path)}
-
     def test_tsv_header(self):
         rep = scan(ScanConfig(checks=("theorem1",), n=3))
         assert rep.violations_tsv().splitlines()[0] == \
@@ -189,12 +182,14 @@ class TestOrbitWeighting:
     @pytest.mark.parametrize("connected_only", [False, True])
     @pytest.mark.parametrize("n", range(1, 7))
     def test_weighted_scan_equals_brute_force(self, n, connected_only):
-        config = ScanConfig(checks=tuple(CHECKS), n=n,
-                            connected_only=connected_only)
-        want = brute_force_scan(config).body_text()
-        for shards in (1, 3):
-            got = scan(dataclasses.replace(config, shard_count=shards))
-            assert got.body_text() == want, shards
+        # Dedup scans walk the same classes with weight 1.
+        for dedup in (False, True):
+            config = ScanConfig(checks=tuple(CHECKS), n=n,
+                                connected_only=connected_only, dedup=dedup)
+            want = brute_force_scan(config).body_text()
+            for shards in (1, 3):
+                got = scan(dataclasses.replace(config, shard_count=shards))
+                assert got.body_text() == want, (dedup, shards)
 
     def test_violating_orbits_are_replayed_member_by_member(self,
                                                             monkeypatch):
@@ -209,9 +204,10 @@ class TestOrbitWeighting:
             return Verdict("theorem1", VIOLATED, lhs=v.lhs, rhs=v.rhs,
                            slack=-1, witness={"edges": list(g.edges())})
         monkeypatch.setitem(CHECKS, "theorem1", three_or_four_edges_violate)
-        for n, connected_only in [(4, False), (5, False), (5, True)]:
+        for n, connected_only, dedup in [(4, False, False), (5, False, False),
+                                         (5, True, False), (5, False, True)]:
             config = ScanConfig(checks=("theorem1", "edge-bound"), n=n,
-                                connected_only=connected_only)
+                                connected_only=connected_only, dedup=dedup)
             want = brute_force_scan(config)
             assert want.violations
             for shards in (1, 3):
@@ -236,3 +232,5 @@ class TestOrbitWeighting:
                             lambda n: itertools.islice(real(n), 1, None))
         with pytest.raises(RuntimeError, match="orbit weights add up to"):
             scan(ScanConfig(checks=("theorem1",), n=4))
+        with pytest.raises(RuntimeError, match="orbit weights add up to"):
+            scan(ScanConfig(checks=("theorem1",), n=4, dedup=True))

@@ -6,8 +6,7 @@ import random
 
 import pytest
 
-from conftest import complete as k_n, cycle, path
-from giwb.bounds import HOLDS, NOT_APPLICABLE
+from giwb.bounds import HOLDS, NOT_APPLICABLE, complete as k_n, cycle, path
 from giwb import hypergraphs
 from giwb.graphs import Graph, GraphFormatError, parse_graph6
 from giwb.hypergraphs import (HyperGraph, check_conjecture2,

@@ -3,9 +3,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import (alpha_oracle, all_labeled_graphs, complete, cores_oracle,
-                      cycle, edgeless, is_stable, maximum_stable_sets_oracle,
-                      path, perfect_matching_oracle)
+from conftest import (alpha_oracle, all_labeled_graphs, cores_oracle, edgeless,
+                      is_stable, maximum_stable_sets_oracle,
+                      perfect_matching_oracle)
+from giwb.bounds import complete, cycle, path
 from giwb.graphs import Graph, bits, complement, from_edges
 from giwb.invariants import (GraphAnalysis, core_decomposition,
                              criticality_profile, has_perfect_matching,
