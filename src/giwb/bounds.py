@@ -19,7 +19,6 @@ from .invariants import GraphAnalysis
 HOLDS = "holds"
 VIOLATED = "violated"
 NOT_APPLICABLE = "not-applicable"
-UNCHECKED = "unchecked"
 
 
 @dataclass(frozen=True)
@@ -29,10 +28,10 @@ class Verdict:
     ``slack`` is ``rhs - lhs`` for upper-bound checks and ``lhs - rhs`` for
     lower-bound checks, so that slack >= 0 always means the check holds;
     each checker documents its convention.  ``equality`` means the check
-    holds with zero slack.
+    holds with zero slack.  A check's name is its key in
+    ``harness.CHECKS``; the verdict does not carry it.
     """
 
-    check_name: str
     status: str
     lhs: Optional[int] = None
     rhs: Optional[int] = None
@@ -45,22 +44,22 @@ class Verdict:
         return self.status in (HOLDS, VIOLATED)
 
 
-def _bound_verdict(name: str, lhs: int, rhs: int, slack: int,
+def _bound_verdict(lhs: int, rhs: int, slack: int,
                    witness: Optional[dict] = None) -> Verdict:
     status = HOLDS if slack >= 0 else VIOLATED
-    return Verdict(check_name=name, status=status, lhs=lhs, rhs=rhs,
-                   slack=slack, equality=(slack == 0), witness=witness)
+    return Verdict(status, lhs=lhs, rhs=rhs, slack=slack,
+                   equality=(slack == 0), witness=witness)
 
 
 def check_theorem1(g: Graph, an: Optional[GraphAnalysis] = None) -> Verdict:
     """alpha <= tau * (1 + alpha - sigma_v) for graphs without isolated
     vertices.  slack = rhs - lhs."""
     if g.n == 0 or g.has_isolated_vertex():
-        return Verdict("theorem1", NOT_APPLICABLE)
+        return Verdict(NOT_APPLICABLE)
     an = an or GraphAnalysis(g)
     lhs = an.alpha
     rhs = an.tau * (1 + an.alpha - an.sigma_v)
-    return _bound_verdict("theorem1", lhs, rhs, rhs - lhs)
+    return _bound_verdict(lhs, rhs, rhs - lhs)
 
 
 def classify_equality_theorem1(g: Graph,
@@ -79,11 +78,10 @@ def classify_equality_theorem1(g: Graph,
     leaf there).  Components are fitted in ``connected_components`` order;
     the fitted (k, ell) pairs are reported alongside alpha - sigma_v + 1.
     """
-    name = "theorem1-equality"
     an = an or GraphAnalysis(g)
     base = check_theorem1(g, an)
     if not (base.status == HOLDS and base.equality and an.alpha > an.sigma_v):
-        return Verdict(name, NOT_APPLICABLE)
+        return Verdict(NOT_APPLICABLE)
 
     from .graphs import connected_components
 
@@ -91,12 +89,12 @@ def classify_equality_theorem1(g: Graph,
     for comp in connected_components(g):
         block = _clique_of_stars_shape(g, comp)
         if block is None:
-            return Verdict(name, VIOLATED,
+            return Verdict(VIOLATED,
                            witness={"component_order": comp.bit_count()})
         fitted.append(block)
     leaf_counts = {ell for _, ell in fitted}
     if len(leaf_counts) != 1:
-        return Verdict(name, VIOLATED, witness={"leaf_counts": sorted(leaf_counts)})
+        return Verdict(VIOLATED, witness={"leaf_counts": sorted(leaf_counts)})
     ell = leaf_counts.pop()
     witness = {
         "tau": an.tau,
@@ -104,7 +102,7 @@ def classify_equality_theorem1(g: Graph,
         "alpha_minus_sigma_v_plus_1": an.alpha - an.sigma_v + 1,
         "components": fitted,
     }
-    return Verdict(name, HOLDS, equality=True, witness=witness)
+    return Verdict(HOLDS, equality=True, witness=witness)
 
 
 def _clique_of_stars_shape(g: Graph, comp: int) -> Optional[tuple[int, int]]:
@@ -127,7 +125,7 @@ def check_cor1(g: Graph, an: Optional[GraphAnalysis] = None) -> Verdict:
     cores = an.cores
     lhs = an.alpha - cores.alpha_core.bit_count()
     rhs = an.tau - cores.tau_core.bit_count()
-    return _bound_verdict("cor1", lhs, rhs, rhs - lhs)
+    return _bound_verdict(lhs, rhs, rhs - lhs)
 
 
 def check_berge(g: Graph, an: Optional[GraphAnalysis] = None) -> Verdict:
@@ -135,19 +133,19 @@ def check_berge(g: Graph, an: Optional[GraphAnalysis] = None) -> Verdict:
     tau-critical, rhs = 1."""
     an = an or GraphAnalysis(g)
     if g.n == 0 or g.has_isolated_vertex() or not an.is_b_graph:
-        return Verdict("berge", NOT_APPLICABLE)
+        return Verdict(NOT_APPLICABLE)
     lhs = int(an.is_tau_critical)
-    return _bound_verdict("berge", lhs, 1, lhs - 1)
+    return _bound_verdict(lhs, 1, lhs - 1)
 
 
 def check_edge_bound(g: Graph, an: Optional[GraphAnalysis] = None) -> Verdict:
     """|E| >= alpha - c + Gamma(alpha, tau).  slack = lhs - rhs."""
     if g.n == 0:
-        return Verdict("edge-bound", NOT_APPLICABLE)
+        return Verdict(NOT_APPLICABLE)
     an = an or GraphAnalysis(g)
     lhs = g.edge_count
     rhs = an.alpha - component_count(g) + gamma_closed(an.alpha, an.tau).value
-    return _bound_verdict("edge-bound", lhs, rhs, lhs - rhs)
+    return _bound_verdict(lhs, rhs, lhs - rhs)
 
 
 def check_galvin_goddard(g: Graph, an: Optional[GraphAnalysis] = None) -> Verdict:
@@ -155,16 +153,16 @@ def check_galvin_goddard(g: Graph, an: Optional[GraphAnalysis] = None) -> Verdic
     in pure integer arithmetic: n - p - q >= 0 and (n-p-q)^2 >= 4pq.
     lhs = (n-p-q)^2, rhs = 4pq, slack = lhs - rhs."""
     if g.n == 0:
-        return Verdict("galvin-goddard", NOT_APPLICABLE)
+        return Verdict(NOT_APPLICABLE)
     an = an or GraphAnalysis(g)
     p = an.sigma_v - 1
     q = an.omega_v - 1
     d = g.n - p - q
     lhs, rhs = d * d, 4 * p * q
     if d < 0 or lhs < rhs:
-        return Verdict("galvin-goddard", VIOLATED, lhs=lhs, rhs=rhs,
-                       slack=lhs - rhs, witness={"p": p, "q": q})
-    return Verdict("galvin-goddard", HOLDS, lhs=lhs, rhs=rhs, slack=lhs - rhs,
+        return Verdict(VIOLATED, lhs=lhs, rhs=rhs, slack=lhs - rhs,
+                       witness={"p": p, "q": q})
+    return Verdict(HOLDS, lhs=lhs, rhs=rhs, slack=lhs - rhs,
                    equality=(lhs == rhs), witness={"p": p, "q": q})
 
 

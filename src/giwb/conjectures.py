@@ -103,12 +103,11 @@ def check_conjecture1_bound(g: Graph,
                             an: Optional[GraphAnalysis] = None) -> Verdict:
     """omega_e * sigma_v <= n for B-graphs without isolated vertices.
     slack = rhs - lhs."""
-    name = "conj1-bound"
     an = an or GraphAnalysis(g)
     if g.n == 0 or g.has_isolated_vertex() or not an.is_b_graph:
-        return Verdict(name, NOT_APPLICABLE)
+        return Verdict(NOT_APPLICABLE)
     lhs = an.omega_e * an.sigma_v
-    return _bound_verdict(name, lhs, g.n, g.n - lhs,
+    return _bound_verdict(lhs, g.n, g.n - lhs,
                           witness={"omega_e": an.omega_e, "sigma_v": an.sigma_v})
 
 
@@ -117,24 +116,23 @@ def check_conjecture1_full(g: Graph,
     """The bound plus the structural clause: every maximum stable set admits
     a disjoint clique system of order omega_e.  A failing stable set is
     attached as the counterexample witness."""
-    name = "conj1"
     an = an or GraphAnalysis(g)
     bound = check_conjecture1_bound(g, an)
     if bound.status == NOT_APPLICABLE:
-        return Verdict(name, NOT_APPLICABLE)
+        return Verdict(NOT_APPLICABLE)
     if bound.status == VIOLATED:
-        return Verdict(name, VIOLATED, lhs=bound.lhs, rhs=bound.rhs,
+        return Verdict(VIOLATED, lhs=bound.lhs, rhs=bound.rhs,
                        slack=bound.slack, witness={"failed": "bound"})
     for stable in maximum_stable_sets(g):
         system = clique_system_search(g, stable, an.omega_e, an.alpha)
         if system is None:
-            return Verdict(name, VIOLATED, lhs=bound.lhs, rhs=bound.rhs,
+            return Verdict(VIOLATED, lhs=bound.lhs, rhs=bound.rhs,
                            slack=bound.slack,
                            witness={"failed": "clique-system",
                                     "stable_set": list(bits(stable))})
         if not system.validate(g, stable, an.omega_e):
             raise RuntimeError("clique_system_search returned an invalid system")
-    return Verdict(name, HOLDS, lhs=bound.lhs, rhs=bound.rhs,
+    return Verdict(HOLDS, lhs=bound.lhs, rhs=bound.rhs,
                    slack=bound.slack, equality=bound.equality)
 
 
@@ -143,14 +141,13 @@ def check_conjecture3(g: Graph, an: Optional[GraphAnalysis] = None) -> Verdict:
     alpha = sigma_e = sigma_v and omega = omega_e = omega_v (plus no
     isolated vertices); the hypotheses are filters, not errors.
     slack = rhs - lhs."""
-    name = "conj3"
     an = an or GraphAnalysis(g)
     if g.n == 0 or g.has_isolated_vertex():
-        return Verdict(name, NOT_APPLICABLE)
+        return Verdict(NOT_APPLICABLE)
     if an.sigma_e is None or an.omega_e is None:
-        return Verdict(name, NOT_APPLICABLE)
+        return Verdict(NOT_APPLICABLE)
     if an.alpha != an.sigma_e or an.omega != an.omega_e:
-        return Verdict(name, NOT_APPLICABLE)
+        return Verdict(NOT_APPLICABLE)
     # The hypotheses are meant to sit inside the chains
     # sigma_e <= sigma_v <= alpha and omega_e <= omega_v <= omega, under
     # which alpha = sigma_e forces sigma_v = alpha (and dually).  The chains
@@ -159,9 +156,9 @@ def check_conjecture3(g: Graph, an: Optional[GraphAnalysis] = None) -> Verdict:
     # P_3: sigma_e = 2 > 1 = sigma_v); requiring the entailed equalities
     # keeps the check on its intended domain.
     if an.sigma_v != an.alpha or an.omega_v != an.omega:
-        return Verdict(name, NOT_APPLICABLE)
+        return Verdict(NOT_APPLICABLE)
     lhs = an.omega_e * an.sigma_e
-    return _bound_verdict(name, lhs, g.n, g.n - lhs,
+    return _bound_verdict(lhs, g.n, g.n - lhs,
                           witness={"omega_e": an.omega_e, "sigma_e": an.sigma_e})
 
 
@@ -171,10 +168,9 @@ def check_omega_v_substitution(g: Graph,
     isolated vertices.  Violations are known from n = 8 on (FINDINGS.md):
     the per-vertex clique invariant cannot replace the per-edge one.  They
     are reported as findings, never failures."""
-    name = "omega-v-sub"
     an = an or GraphAnalysis(g)
     if g.n == 0 or g.has_isolated_vertex() or not an.is_b_graph:
-        return Verdict(name, NOT_APPLICABLE)
+        return Verdict(NOT_APPLICABLE)
     lhs = an.omega_v * an.sigma_v
-    return _bound_verdict(name, lhs, g.n, g.n - lhs,
+    return _bound_verdict(lhs, g.n, g.n - lhs,
                           witness={"omega_v": an.omega_v, "sigma_v": an.sigma_v})

@@ -147,31 +147,23 @@ def parse_graph6(line: str) -> Graph:
             f"(need {need} chars, got {len(body)})")
     if len(body) > need:
         raise GraphFormatError(f"byte {body_off + need}: trailing bytes after bit body")
+    # The body read as one bit stream: x(i, j) for columns j = 1 .. n-1 and
+    # i < j, six bits per byte, then zero padding to the last byte's end.
+    stream = 0
+    for byte in body:
+        stream = stream << 6 | (byte - 63)
+    pad = 6 * need - nbits
+    if stream & ((1 << pad) - 1):
+        raise GraphFormatError(f"byte {body_off + need - 1}: nonzero padding bit")
     adj = [0] * n
-    k = 0  # index into the column-major upper-triangle bit stream
-    for pos, byte in enumerate(body):
-        group = byte - 63
-        for shift in range(5, -1, -1):
-            bit = group >> shift & 1
-            if k >= nbits:
-                if bit:
-                    raise GraphFormatError(f"byte {body_off + pos}: nonzero padding bit")
-                continue
-            if bit:
-                i, j = _edge_from_colmajor(k)
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-            k += 1
+    k = 6 * need
+    for j in range(1, n):
+        k -= j  # column j is stream bits k .. k + j - 1, x(0, j) the highest
+        for b in bits(stream >> k & ((1 << j) - 1)):
+            i = j - 1 - b
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
     return Graph(n, tuple(adj))
-
-
-def _edge_from_colmajor(k: int) -> tuple[int, int]:
-    # bit k of the stream is x(i, j) for columns j = 1, 2, ... and i < j
-    j = 1
-    while k >= j:
-        k -= j
-        j += 1
-    return k, j
 
 
 def to_graph6(g: Graph) -> str:
@@ -180,20 +172,16 @@ def to_graph6(g: Graph) -> str:
         head = chr(63 + g.n)
     else:
         head = "~" + chr(63 + (g.n >> 12)) + chr(63 + (g.n >> 6 & 63)) + chr(63 + (g.n & 63))
-    stream = []
+    nbits = g.n * (g.n - 1) // 2
+    need = (nbits + 5) // 6
+    stream = 0
     for j in range(1, g.n):
         col = g.adj[j]
         for i in range(j):
-            stream.append(col >> i & 1)
-    while len(stream) % 6:
-        stream.append(0)
-    body = []
-    for p in range(0, len(stream), 6):
-        val = 0
-        for bit in stream[p:p + 6]:
-            val = val << 1 | bit
-        body.append(chr(63 + val))
-    return head + "".join(body)
+            stream = stream << 1 | (col >> i & 1)
+    stream <<= 6 * need - nbits
+    return head + "".join(chr(63 + (stream >> s & 63))
+                          for s in range(6 * need - 6, -1, -6))
 
 
 def is_significant(line: str) -> bool:

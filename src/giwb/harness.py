@@ -28,7 +28,7 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .bounds import (HOLDS, UNCHECKED, Verdict, VIOLATED, check_berge,
+from .bounds import (HOLDS, NOT_APPLICABLE, Verdict, VIOLATED, check_berge,
                      check_cor1, check_edge_bound, check_galvin_goddard,
                      check_theorem1, classify_equality_theorem1)
 from .conjectures import (check_conjecture1_bound, check_conjecture1_full,
@@ -69,6 +69,16 @@ def normalize_check_name(name: str) -> str:
     if key not in CHECKS:
         raise ValueError(f"unknown check name {name!r}")
     return key
+
+
+def check_names(names) -> tuple[str, ...]:
+    """The normalized names, in the given order; a check named twice would
+    be counted twice, so a repeat is an error."""
+    keys = tuple(normalize_check_name(name) for name in names)
+    for i, key in enumerate(keys):
+        if key in keys[:i]:
+            raise ValueError(f"check {key!r} is named more than once")
+    return keys
 
 
 def _edge_list(n: int) -> list[tuple[int, int]]:
@@ -207,8 +217,7 @@ class ScanConfig:
             raise ValueError("shard_count must be >= 1")
         if not self.checks:
             raise ValueError("at least one check required")
-        object.__setattr__(self, "checks",
-                           tuple(normalize_check_name(c) for c in self.checks))
+        object.__setattr__(self, "checks", check_names(self.checks))
 
 
 @dataclass
@@ -218,6 +227,8 @@ class CheckTotals:
     equality: int = 0
     violated: int = 0
     not_applicable: int = 0
+    # Every check is decided, so this stays 0; report bodies and their
+    # readers (acceptance criterion 04, the benchmark's oracles) keep the key.
     unchecked: int = 0
 
     def add(self, v: Verdict, weight: int = 1) -> None:
@@ -230,10 +241,10 @@ class CheckTotals:
         elif v.status == VIOLATED:
             self.applicable += weight
             self.violated += weight
-        elif v.status == UNCHECKED:
-            self.unchecked += weight
-        else:
+        elif v.status == NOT_APPLICABLE:
             self.not_applicable += weight
+        else:
+            raise RuntimeError(f"unknown verdict status {v.status!r}")
 
     def merge(self, other: "CheckTotals") -> None:
         for f in fields(self):

@@ -130,11 +130,11 @@ def check_hyper_corollary(g: Graph, an: Optional[GraphAnalysis] = None) -> Verdi
     applicable when the edges have empty intersection and full union
     (equivalently: both cores of ``g`` are empty).  slack = rhs - lhs."""
     if g.n == 0:
-        return Verdict("hyper-cor", NOT_APPLICABLE)
+        return Verdict(NOT_APPLICABLE)
     an = an or GraphAnalysis(g)
     cores = an.cores
     if cores.alpha_core or cores.tau_core:
-        return Verdict("hyper-cor", NOT_APPLICABLE)
+        return Verdict(NOT_APPLICABLE)
     # Empty cores force the raw edge-family conditions: the edges intersect
     # trivially and cover every vertex.  (The converse is false: the maximal
     # stable sets of P_3 have empty intersection while its alpha_core does
@@ -150,22 +150,21 @@ def check_hyper_corollary(g: Graph, an: Optional[GraphAnalysis] = None) -> Verdi
     if h.r_max != an.alpha:
         raise RuntimeError("the largest maximal stable set is not of size alpha")
     lhs = 2 * h.r_max
-    return _bound_verdict("hyper-cor", lhs, g.n, g.n - lhs)
+    return _bound_verdict(lhs, g.n, g.n - lhs)
 
 
 def check_conjecture2(h: HyperGraph) -> Verdict:
     """r * sigma_v <= n for r-uniform hypergraphs without isolated vertices
     whose 2-section has sigma_v = alpha.  sigma_v and alpha are computed on
     the 2-section, which preserves both.  slack = rhs - lhs."""
-    name = "conj2"
     if h.n == 0 or not h.edges or h.has_isolated_vertex():
-        return Verdict(name, NOT_APPLICABLE)
+        return Verdict(NOT_APPLICABLE)
     r = h.is_uniform()
     if r is None:
-        return Verdict(name, NOT_APPLICABLE)
+        return Verdict(NOT_APPLICABLE)
     an = GraphAnalysis(two_section(h))
     if an.sigma_v != an.alpha:
-        return Verdict(name, NOT_APPLICABLE)
+        return Verdict(NOT_APPLICABLE)
     lhs = r * an.sigma_v
-    return _bound_verdict(name, lhs, h.n, h.n - lhs,
+    return _bound_verdict(lhs, h.n, h.n - lhs,
                           witness={"r": r, "sigma_v": an.sigma_v})

@@ -2,12 +2,25 @@
 
 import io
 import json
+import pathlib
+import shlex
 import time
 
 import pytest
 
 import giwb.cli as cli
 from giwb.bounds import VIOLATED, Verdict
+from giwb.harness import CHECKS
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_cli_lines() -> list[str]:
+    """The ``giwb`` lines of the README's CLI example block."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("giwb ")]
 
 
 def run(capsys, *argv):
@@ -68,24 +81,62 @@ class TestCheck:
     def test_all_checks_on_holding_graph(self, capsys):
         code, records, _ = run(capsys, "check", "--all", "Dhc")
         assert code == 0
-        assert {r["check"] for r in records} == set(cli.CLI_CHECK_FLAGS)
+        # The eight records, in this order, that the benchmark's oracle pins.
+        assert [r["check"] for r in records] == [
+            "theorem1", "cor1", "berge", "edge-bound", "galvin-goddard",
+            "conj1", "conj3", "hyper-cor"]
         assert all(r["finding"] is False for r in records)
 
     def test_single_check_flag(self, capsys):
-        code, records, _ = run(capsys, "check", "--edge-bound", "Dhc")
+        code, records, _ = run(capsys, "check", "--checks", "edge-bound", "Dhc")
         assert code == 0 and len(records) == 1
         assert records[0]["equality"] is True
 
+    @pytest.mark.parametrize("name", list(CHECKS))
+    def test_every_registered_check_is_selectable(self, capsys, name):
+        code, records, _ = run(capsys, "check", "--checks", name, "Dhc")
+        assert code == 0 and [r["check"] for r in records] == [name]
+
+    def test_records_follow_the_given_order(self, capsys):
+        names = list(reversed(CHECKS))
+        code, records, _ = run(capsys, "check", "--checks",
+                               ",".join(names), "Dhc")
+        assert code == 0 and [r["check"] for r in records] == names
+
+    def test_names_are_normalized(self, capsys):
+        code, records, _ = run(capsys, "check", "--checks",
+                               "Edge_Bound,THEOREM1", "Dhc")
+        assert code == 0
+        assert [r["check"] for r in records] == ["edge-bound", "theorem1"]
+
     def test_no_flags_is_a_usage_error(self, capsys):
         code, _, captured = run(capsys, "check", "Dhc")
-        assert code == 2 and "at least one check" in captured.err
+        assert code == 2
+        assert ("one of the arguments --checks --all is required"
+                in captured.err)
+
+    def test_both_selectors_are_a_usage_error(self, capsys):
+        code, _, captured = run(capsys, "check", "--all", "--checks",
+                                "theorem1", "Dhc")
+        assert code == 2 and "not allowed with argument" in captured.err
+
+    @pytest.mark.parametrize("checks", ["cor1,cor1", "theorem1,Theorem1"])
+    def test_a_check_named_twice_is_a_usage_error(self, capsys, checks):
+        code, records, captured = run(capsys, "check", "--checks", checks,
+                                      "Dhc")
+        assert code == 2 and not records
+        assert "named more than once" in captured.err
+
+    def test_unknown_check_name(self, capsys):
+        code, _, captured = run(capsys, "check", "--checks", "theorem9", "Dhc")
+        assert code == 2 and "unknown check" in captured.err
 
     def test_theorem_violation_exits_nonzero(self, capsys, monkeypatch):
         # No real graph violates a theorem check; exercise the exit-code
         # plumbing with a stubbed verdict.
-        stub = Verdict("theorem1", VIOLATED, lhs=9, rhs=1, slack=-8)
+        stub = Verdict(VIOLATED, lhs=9, rhs=1, slack=-8)
         monkeypatch.setitem(cli.CHECKS, "theorem1", lambda g, an: stub)
-        code, records, _ = run(capsys, "check", "--theorem1", "Dhc")
+        code, records, _ = run(capsys, "check", "--checks", "theorem1", "Dhc")
         assert code == 1
         assert records[0]["status"] == "violated"
         assert records[0]["finding"] is False
@@ -98,15 +149,37 @@ class TestCheck:
                 return fn(g, an)
             monkeypatch.setitem(cli.CHECKS, name, recording)
         code, records, _ = run(capsys, "check", "--all", "Dhc")
-        assert code == 0 and len(seen) == len(records) == len(cli.CLI_CHECK_FLAGS)
+        assert code == 0 and len(seen) == len(records) == len(cli.CHECK_ALL)
         assert seen[0] is not None and all(an is seen[0] for an in seen)
 
     def test_conjecture_violation_is_a_finding(self, capsys, monkeypatch):
-        stub = Verdict("conj1", VIOLATED, lhs=9, rhs=1, slack=-8)
+        stub = Verdict(VIOLATED, lhs=9, rhs=1, slack=-8)
         monkeypatch.setitem(cli.CHECKS, "conj1", lambda g, an: stub)
-        code, records, _ = run(capsys, "check", "--conj1", "Dhc")
+        code, records, _ = run(capsys, "check", "--checks", "conj1", "Dhc")
         assert code == 0
         assert records[0]["finding"] is True
+
+
+class TestFindingsReplay:
+    """Each FINDINGS.md row, replayed by the command the row gives."""
+
+    def test_omega_v_substitution_on_8_vertices(self, capsys):
+        code, records, _ = run(capsys, "check", "--checks", "omega-v-sub",
+                               "GB]eCK")
+        assert code == 0 and len(records) == 1
+        r = records[0]
+        assert (r["status"], r["finding"], r["lhs"], r["rhs"]) == (
+            "violated", True, 9, 8)
+        assert r["witness"] == {"omega_v": 3, "sigma_v": 3}
+
+    def test_conjecture1_on_9_vertices(self, capsys):
+        code, records, _ = run(capsys, "check", "--checks", "conj1", "HcdePhT")
+        assert code == 0 and len(records) == 1
+        r = records[0]
+        assert (r["status"], r["finding"], r["lhs"], r["rhs"]) == (
+            "violated", True, 9, 9)
+        assert r["witness"] == {"failed": "clique-system",
+                                "stable_set": [1, 2, 3]}
 
 
 class TestSearch:
@@ -126,6 +199,14 @@ class TestSearch:
         code, _, captured = run(capsys, "search", "--n", "3",
                                 "--checks", "nonsense")
         assert code == 2 and "unknown check" in captured.err
+
+    @pytest.mark.parametrize("dedup", [(), ("--dedup",)])
+    def test_a_check_named_twice_is_a_usage_error(self, capsys, dedup):
+        # Counted twice, its totals would exceed the graph count.
+        code, records, captured = run(capsys, "search", "--n", "3", *dedup,
+                                      "--checks", "cor1,cor1")
+        assert code == 2 and not records
+        assert "named more than once" in captured.err
 
 
 class TestGenerateAndCatalog:
@@ -152,6 +233,19 @@ class TestGenerateAndCatalog:
         code, records, _ = run(capsys, "catalog-min-edges", "--alpha", "2",
                                "--tau", "3", "--c", "1", "--input", str(path))
         assert code == 0 and records[0]["catalog"]["witness_graph6"] == "Dhc"
+
+    def test_catalog_order_out_of_range(self, capsys):
+        code, records, captured = run(capsys, "catalog-min-edges", "--alpha",
+                                      "4", "--tau", "4", "--c", "1")
+        assert code == 2 and not records
+        assert "giwb: error: alpha + tau must be 1..7" in captured.err
+
+    def test_catalog_has_no_order_option(self, capsys):
+        # tau = n - alpha: only n = alpha + tau can match, and that is the
+        # order enumerated.
+        code, _, captured = run(capsys, "catalog-min-edges", "--alpha", "2",
+                                "--tau", "3", "--c", "1", "--n", "5")
+        assert code == 2 and "unrecognized arguments: --n" in captured.err
 
 
 CATALOG = ("catalog-min-edges", "--alpha", "2", "--tau", "3", "--c", "1",
@@ -223,7 +317,8 @@ class TestErrors:
         def broken(g, an):
             raise RuntimeError("broken invariant")
         monkeypatch.setitem(cli.CHECKS, "theorem1", broken)
-        code, records, captured = run(capsys, "check", "--theorem1", "Dhc")
+        code, records, captured = run(capsys, "check", "--checks", "theorem1",
+                                      "Dhc")
         assert code == 3 and not records
         assert "RuntimeError: broken invariant" in captured.err
 
@@ -238,3 +333,22 @@ class TestErrors:
     def test_records_carry_version(self, capsys):
         _, records, _ = run(capsys, "invariants", "Dhc")
         assert records[0]["version"]
+
+
+class TestReadme:
+    def test_the_example_block_is_found(self):
+        assert len(readme_cli_lines()) >= 10
+
+    @pytest.mark.parametrize("line", readme_cli_lines())
+    def test_example_runs(self, capsys, monkeypatch, line):
+        # A `|` feeds the left command's stdout to the right one's stdin.
+        out = ""
+        for command in line.split("|"):
+            argv = shlex.split(command, comments=True)
+            assert argv[0] == "giwb"
+            monkeypatch.setattr("sys.stdin", io.StringIO(out))
+            code = cli.main(argv[1:])
+            captured = capsys.readouterr()
+            assert code == 0, (command, captured.err)
+            out = captured.out
+        assert out

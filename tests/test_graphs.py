@@ -1,5 +1,7 @@
 """Graph construction, graph6 / edge-list I/O, and structural operations."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -94,11 +96,24 @@ class TestGraph6:
         assert code.startswith("~")
         assert parse_graph6(code) == g
 
+    def test_random_round_trip_up_to_the_cap(self):
+        # Every order 0..64, so the 4-byte header of n = 63, 64 is crossed,
+        # against an encoder written from the format's definition.
+        rng = random.Random(6)
+        for n in range(65):
+            for density in (0.0, rng.random(), 1.0):
+                g = from_edges(n, [(i, j) for j in range(n) for i in range(j)
+                                   if rng.random() < density])
+                code = to_graph6(g)
+                assert code == _graph6_by_definition(g), n
+                assert parse_graph6(code) == g, n
+
     @pytest.mark.parametrize("line, message", [
         ("", "empty"),
         ("B", "truncated bit body"),
         ("Bg?", "trailing bytes"),
         ("BC", "nonzero padding"),
+        ("D?@", "byte 2: nonzero padding"),
         ("~?", "truncated multi-byte"),
         ("~~?????????", "8-byte vertex counts"),
         ("~?B?" + "?" * 100, "exceeds the 64-vertex cap"),
@@ -110,6 +125,19 @@ class TestGraph6:
     def test_out_of_range_byte(self):
         with pytest.raises(GraphFormatError, match="byte 1"):
             parse_graph6("B\x07")
+
+
+def _graph6_by_definition(g: Graph) -> str:
+    """graph6 from McKay's definition: the order (one byte, or 126 and three
+    bytes from n = 63), then x(i, j) for j = 1 .. n-1 and i < j, six bits per
+    byte, zero padded, every byte offset by 63."""
+    n = g.n
+    head = [n] if n <= 62 else [63, n >> 12, n >> 6 & 63, n & 63]
+    stream = "".join("1" if g.has_edge(i, j) else "0"
+                     for j in range(1, n) for i in range(j))
+    stream += "0" * (-len(stream) % 6)
+    body = [int(stream[k:k + 6], 2) for k in range(0, len(stream), 6)]
+    return "".join(chr(63 + x) for x in head + body)
 
 
 class TestEdgeList:

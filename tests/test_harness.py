@@ -10,11 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 import giwb.harness as harness
 from conftest import brute_force_scan
-from giwb.bounds import VIOLATED, Verdict, are_isomorphic, catalog_min_edges
+from giwb.bounds import (HOLDS, VIOLATED, Verdict, are_isomorphic,
+                         catalog_min_edges)
 from giwb.graphs import (GraphFormatError, component_count, from_edges,
                          to_graph6)
-from giwb.harness import (CHECKS, THEOREM_CHECKS, ScanConfig,
-                          enumerate_graphs, graphs_from_file,
+from giwb.harness import (CHECKS, THEOREM_CHECKS, CheckTotals, ScanConfig,
+                          check_names, enumerate_graphs, graphs_from_file,
                           normalize_check_name, scan)
 from giwb.invariants import GraphAnalysis
 
@@ -115,6 +116,13 @@ class TestScanConfig:
         with pytest.raises(ValueError, match="at least one check"):
             ScanConfig(checks=(), n=3)
 
+    def test_a_check_named_twice_is_rejected(self):
+        with pytest.raises(ValueError, match="'theorem1' is named more"):
+            ScanConfig(checks=("theorem1", "Theorem1"), n=3)
+        with pytest.raises(ValueError, match="named more than once"):
+            check_names(["cor1", "edge-bound", "Cor1"])
+        assert check_names(["Edge_Bound", "cor1"]) == ("edge-bound", "cor1")
+
     def test_registry_split(self):
         assert THEOREM_CHECKS <= set(CHECKS)
         assert "conj1" in CHECKS and "conj1" not in THEOREM_CHECKS
@@ -129,6 +137,13 @@ class TestScan:
             t = rep.totals[name]
             assert (t.applicable + t.not_applicable + t.unchecked
                     == rep.graph_count)
+
+    def test_an_unknown_status_is_an_error(self):
+        totals = CheckTotals()
+        totals.add(Verdict(HOLDS, lhs=1, rhs=1, slack=0, equality=True), 3)
+        with pytest.raises(RuntimeError, match="unknown verdict status"):
+            totals.add(Verdict("unchecked"))
+        assert totals == CheckTotals(applicable=3, holds=3, equality=3)
 
     def test_zero_violations_on_small_orders(self):
         rep = scan(ScanConfig(checks=("theorem1", "cor1", "edge-bound"), n=5))
@@ -201,7 +216,7 @@ class TestOrbitWeighting:
             v = real(g, an)
             if g.edge_count not in (3, 4):
                 return v
-            return Verdict("theorem1", VIOLATED, lhs=v.lhs, rhs=v.rhs,
+            return Verdict(VIOLATED, lhs=v.lhs, rhs=v.rhs,
                            slack=-1, witness={"edges": list(g.edges())})
         monkeypatch.setitem(CHECKS, "theorem1", three_or_four_edges_violate)
         for n, connected_only, dedup in [(4, False, False), (5, False, False),
