@@ -113,7 +113,6 @@ def _cmd_search(args) -> int:
         n=args.n,
         connected_only=args.connected,
         dedup=args.dedup,
-        shard_count=args.shards,
     )
     report = scan(config)
     _emit({"report": report.body_dict(),
@@ -186,7 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dedup", action="store_true")
     p.add_argument("--checks", required=True,
                    help="comma-separated check names")
-    p.add_argument("--shards", type=int, default=1, help="shard count")
     p.add_argument("--tsv", action="store_true",
                    help="also print a TSV violations table to stderr")
     p.set_defaults(fn=_cmd_search)

@@ -1,5 +1,5 @@
 """Exhaustive small-graph enumeration, the graph-file reader and the
-sharded check-scan harness.
+check-scan harness.
 
 The labeled stream covers every edge mask (ascending); dedup keeps one
 representative per isomorphism class (the lexicographically minimal edge
@@ -11,8 +11,8 @@ representative by n!/|Aut| and replays an orbit whose representative
 violates any check member by member, so labeling-dependent witnesses and
 the sorted violation list are exactly those of a scan over every edge mask;
 a dedup scan weights each representative 1.  In both modes the orbit sizes
-must add up to the labeled count.  Scans are sharded by class-index residue
-with a commutative merge, so totals are shard-count independent.
+must add up to the labeled count.  Per-check totals are summed from
+sub-totals per class-index residue, so ``ScanConfig.shard_count`` changes none.
 """
 
 from __future__ import annotations
@@ -200,8 +200,9 @@ class ScanConfig:
 
     A scan covers every graph on ``n`` vertices (the connected ones with
     ``connected_only``): all labeled graphs, or one representative per
-    isomorphism class with ``dedup``.  ``shard_count`` partitions the class
-    stream by index residue; totals are independent of it by construction.
+    isomorphism class with ``dedup``.  ``shard_count`` partitions each
+    check's totals by class-index residue within the one process; the
+    report body is independent of it by construction.
     """
 
     checks: tuple[str, ...]
@@ -250,13 +251,10 @@ class CheckTotals:
         for f in fields(self):
             setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class ScanReport:
-    """Totals per check plus the replayable violation list.
+    """Totals per check plus the replayable violation list of one scan.
 
     ``graphs_analysed`` counts the graphs whose checks ran (class
     representatives plus replayed orbit members for a labeled scan); like
@@ -274,18 +272,15 @@ class ScanReport:
     def theorem_violations(self) -> list[dict]:
         return [v for v in self.violations if v["check"] in THEOREM_CHECKS]
 
-    @property
-    def finding_violations(self) -> list[dict]:
-        return [v for v in self.violations if v["check"] not in THEOREM_CHECKS]
-
-    def add(self, g: Graph, verdicts, weight: int = 1) -> None:
-        """Count ``g``'s ``(name, verdict)`` pairs for ``weight`` graphs and
-        record its violations; only a single labeled graph may violate."""
+    def add(self, g: Graph, verdicts, totals: dict[str, CheckTotals],
+            weight: int = 1) -> None:
+        """Count ``g``'s ``(name, verdict)`` pairs for ``weight`` graphs in
+        ``totals`` and record its violations, which need ``weight`` 1."""
         self.graph_count += weight
         self.graphs_analysed += 1
         g6: Optional[str] = None
         for name, verdict in verdicts:
-            self.totals[name].add(verdict, weight)
+            totals[name].add(verdict, weight)
             if verdict.status == VIOLATED:
                 if weight != 1:
                     raise RuntimeError("a violation was weighted, not replayed")
@@ -301,7 +296,7 @@ class ScanReport:
                        "dedup": self.config.dedup},
             "checks": list(self.config.checks),
             "graph_count": self.graph_count,
-            "totals": {name: self.totals[name].as_dict()
+            "totals": {name: asdict(self.totals[name])
                        for name in self.config.checks},
             "violations": self.violations,
         }
@@ -340,16 +335,16 @@ def scan(config: ScanConfig) -> ScanReport:
     dedup scan counts each representative once.  In both modes the orbit
     sizes must add up to 2^C(n,2) labeled graphs (the connected ones under
     ``connected_only``), else RuntimeError: a class the walk dropped is an
-    error, not a smaller report.  Classes go to per-shard sub-totals by
-    class-index residue, merged at the end: the merge is commutative
-    counting plus a sorted violation list, which guarantees byte-identical
-    report bodies for any shard count.
+    error, not a smaller report.  Each check's totals are counted in
+    sub-totals per class-index residue modulo ``shard_count``, created for
+    the first class of a residue and summed at the end; the sum is
+    commutative and the violation list is sorted once, so the body is the
+    same for any shard count.
     """
     started = time.monotonic()
     n, checks = config.n, config.checks
-    shards = [ScanReport(config=config,
-                         totals={c: CheckTotals() for c in checks})
-              for _ in range(config.shard_count)]
+    report = ScanReport(config=config)
+    sub_totals: dict[int, dict[str, CheckTotals]] = {}
     edge_list = _edge_list(n)
     n_perms = math.factorial(n)
     idx = labeled_total = 0
@@ -357,15 +352,16 @@ def scan(config: ScanConfig) -> ScanReport:
         g = _graph_from_mask(n, mask, edge_list)
         if config.connected_only and component_count(g) != 1:
             continue
-        shard = shards[idx % config.shard_count]
+        residue = idx % config.shard_count
         idx += 1
+        totals = sub_totals.get(residue)
+        if totals is None:
+            totals = sub_totals[residue] = {c: CheckTotals() for c in checks}
         weight = n_perms // int(np.count_nonzero(orbit == mask))
         labeled_total += weight
         verdicts = list(check_verdicts(g, checks))
-        if config.dedup:
-            shard.add(g, verdicts)
-        elif all(v.status != VIOLATED for _, v in verdicts):
-            shard.add(g, verdicts, weight)
+        if config.dedup or all(v.status != VIOLATED for _, v in verdicts):
+            report.add(g, verdicts, totals, 1 if config.dedup else weight)
         else:
             members = np.unique(orbit)
             if len(members) != weight:
@@ -373,23 +369,19 @@ def scan(config: ScanConfig) -> ScanReport:
                                    f"has {len(members)} members, not {weight}")
             for member in members:
                 if member == mask:
-                    shard.add(g, verdicts)
+                    report.add(g, verdicts, totals)
                     continue
                 h = _graph_from_mask(n, int(member), edge_list)
-                shard.add(h, check_verdicts(h, checks))
+                report.add(h, check_verdicts(h, checks), totals)
     want = _labeled_count(n, config.connected_only)
     if labeled_total != want:
         raise RuntimeError(f"orbit weights add up to {labeled_total} "
                            f"graphs, not the {want} labeled graphs")
 
-    report = ScanReport(config=config,
-                        totals={c: CheckTotals() for c in checks})
-    for shard in shards:
-        report.graph_count += shard.graph_count
-        report.graphs_analysed += shard.graphs_analysed
+    report.totals = {c: CheckTotals() for c in checks}
+    for totals in sub_totals.values():
         for name in checks:
-            report.totals[name].merge(shard.totals[name])
-        report.violations.extend(shard.violations)
+            report.totals[name].merge(totals[name])
     report.violations.sort(key=lambda rec: (rec["graph6"], rec["check"]))
     report.elapsed_seconds = time.monotonic() - started
     return report

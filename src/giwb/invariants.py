@@ -73,6 +73,8 @@ def max_stable_containing(g: Graph, v: int) -> int:
 def max_clique_containing_edge(g: Graph, e: tuple[int, int]) -> int:
     """Largest clique through the edge ``e``."""
     u, v = e
+    if not (0 <= u < g.n and 0 <= v < g.n):
+        raise ValueError(f"edge ({u}, {v}) has a vertex out of range")
     if not g.has_edge(u, v):
         raise ValueError(f"({u}, {v}) is not an edge")
     return GraphAnalysis(g).max_clique_containing_edge(u, v)
@@ -239,7 +241,11 @@ class GraphAnalysis:
 
     @cached_property
     def sigma_e(self) -> Optional[int]:
-        return self.complement_analysis.omega_e
+        # omega_e of the complement, whose complement is g: this analysis
+        # answers its alpha queries, so no second analysis of g is built.
+        co = self.complement_analysis.g
+        vals = [2 + self.alpha_of(co.adj[u] & co.adj[v]) for u, v in co.edges()]
+        return min(vals) if vals else None
 
     @cached_property
     def cores(self) -> CoreDecomposition:

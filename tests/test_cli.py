@@ -10,7 +10,9 @@ import pytest
 
 import giwb.cli as cli
 from giwb.bounds import VIOLATED, Verdict
+from giwb.graphs import complement, to_graph6
 from giwb.harness import CHECKS
+from giwb.invariants import GraphAnalysis
 
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -152,6 +154,20 @@ class TestCheck:
         assert code == 0 and len(seen) == len(records) == len(cli.CHECK_ALL)
         assert seen[0] is not None and all(an is seen[0] for an in seen)
 
+    def test_all_checks_build_the_graph_and_complement_analyses_only(
+            self, capsys, monkeypatch):
+        built = []
+        init = GraphAnalysis.__init__
+
+        def counted(an, g):
+            built.append(g)
+            init(an, g)
+        monkeypatch.setattr(GraphAnalysis, "__init__", counted)
+        code, _, _ = run(capsys, "check", "--all", "Dhc")
+        assert code == 0
+        assert len(built) == 2 and to_graph6(built[0]) == "Dhc"
+        assert built[1] == complement(built[0])
+
     def test_conjecture_violation_is_a_finding(self, capsys, monkeypatch):
         stub = Verdict(VIOLATED, lhs=9, rhs=1, slack=-8)
         monkeypatch.setitem(cli.CHECKS, "conj1", lambda g, an: stub)
@@ -207,6 +223,15 @@ class TestSearch:
                                       "--checks", "cor1,cor1")
         assert code == 2 and not records
         assert "named more than once" in captured.err
+
+    def test_shards_is_no_option(self, capsys):
+        code, _, captured = run(capsys, "search", "--help")
+        assert code == 0 and "--checks" in captured.out
+        assert "--shards" not in captured.out
+        code, records, captured = run(capsys, "search", "--n", "3", "--checks",
+                                      "theorem1", "--shards", "2")
+        assert code == 2 and not records
+        assert "unrecognized arguments: --shards" in captured.err
 
 
 class TestGenerateAndCatalog:

@@ -148,7 +148,7 @@ class TestScan:
     def test_zero_violations_on_small_orders(self):
         rep = scan(ScanConfig(checks=("theorem1", "cor1", "edge-bound"), n=5))
         assert rep.violations == []
-        assert rep.theorem_violations == [] and rep.finding_violations == []
+        assert rep.theorem_violations == []
 
     def test_shard_count_does_not_change_the_report_body(self):
         bodies = set()
@@ -158,6 +158,23 @@ class TestScan:
                                   n=5, shard_count=shards))
             bodies.add(rep.body_text())
         assert len(bodies) == 1
+
+    @pytest.mark.parametrize("n, classes", [(1, 1), (2, 2), (3, 4)])
+    def test_sub_totals_only_for_residues_that_get_a_class(self, n, classes,
+                                                          monkeypatch):
+        made = []
+
+        class CountedTotals(CheckTotals):
+            def __init__(self, *args, **kwargs):
+                made.append(self)
+                super().__init__(*args, **kwargs)
+        one = scan(ScanConfig(checks=("theorem1",), n=n)).body_text()
+        monkeypatch.setattr(harness, "CheckTotals", CountedTotals)
+        many = scan(ScanConfig(checks=("theorem1",), n=n,
+                               shard_count=100_000))
+        assert many.body_text() == one
+        # One set per residue that got a class, plus the report's own.
+        assert len(made) <= classes + 1
 
     def test_dedup_and_labeled_scans_agree_on_violation_freeness(self):
         # The checks are isomorphism-invariant, so a dedup scan is violation

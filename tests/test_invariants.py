@@ -1,5 +1,8 @@
 """Invariant computations against enumeration oracles and frozen values."""
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -48,6 +51,20 @@ class TestAnalysisTable:
         subsets = {0, g.full_mask} | {g.full_mask >> k for k in range(g.n)}
         for s in subsets:
             assert an.alpha_of(s) == alpha_oracle(g, s)
+
+    def test_sigma_e_is_freed_without_the_cycle_collector(self):
+        # sigma_e reads this table on the complement's edges; a reference
+        # cycle with the complement's analysis would keep both tables alive
+        # until the next full collection.
+        gc.disable()
+        try:
+            an = GraphAnalysis(cycle(5))
+            assert an.sigma_e == 2
+            refs = [weakref.ref(an), weakref.ref(an.complement_analysis)]
+            del an
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
 
     def test_table_fallback_above_cap(self):
         g = edgeless(20)  # above the subset-table cap
@@ -113,6 +130,10 @@ class TestInvariantSuite:
             max_stable_containing(g, 9)
         with pytest.raises(ValueError, match="not an edge"):
             max_clique_containing_edge(g, (0, 2))
+        p3 = path(3)
+        for edge in [(-1, 1), (5, 1), (1, 3)]:
+            with pytest.raises(ValueError, match="out of range"):
+                max_clique_containing_edge(p3, edge)
 
 
 class TestStableSetEnumeration:
