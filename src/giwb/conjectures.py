@@ -42,15 +42,24 @@ class CliqueSystem:
 
 def _cliques_through(g: Graph, v: int, allowed: VertexMask, order: int) -> list[int]:
     """All cliques of the given order containing ``v`` inside ``allowed``,
-    sorted by bit pattern."""
-    nbrs = bits(g.adj[v] & allowed)
+    sorted by bit pattern.
+
+    Grows each clique by its lowest-index candidate and narrows the
+    candidates to that vertex's neighbours, so every clique is built once.
+    """
+    adj = g.adj
     out = []
-    for combo in itertools.combinations(nbrs, order - 1):
-        if all(g.has_edge(a, b) for a, b in itertools.combinations(combo, 2)):
-            m = 1 << v
-            for u in combo:
-                m |= 1 << u
-            out.append(m)
+
+    def grow(clique: int, cand: int, need: int) -> None:
+        if not need:
+            out.append(clique)
+            return
+        while cand.bit_count() >= need:
+            u = (cand & -cand).bit_length() - 1
+            cand &= cand - 1
+            grow(clique | 1 << u, cand & adj[u], need - 1)
+
+    grow(1 << v, adj[v] & allowed, order - 1)
     out.sort()
     return out
 
@@ -144,18 +153,19 @@ def check_conjecture3(g: Graph, an: Optional[GraphAnalysis] = None) -> Verdict:
     an = an or GraphAnalysis(g)
     if g.n == 0 or g.has_isolated_vertex():
         return Verdict(NOT_APPLICABLE)
-    if an.sigma_e is None or an.omega_e is None:
-        return Verdict(NOT_APPLICABLE)
-    if an.alpha != an.sigma_e or an.omega != an.omega_e:
-        return Verdict(NOT_APPLICABLE)
     # The hypotheses are meant to sit inside the chains
     # sigma_e <= sigma_v <= alpha and omega_e <= omega_v <= omega, under
     # which alpha = sigma_e forces sigma_v = alpha (and dually).  The chains
     # break exactly when a vertex dominates the graph (its complement twin is
     # isolated), and every such graph trivially "refutes" the bound (e.g.
     # P_3: sigma_e = 2 > 1 = sigma_v); requiring the entailed equalities
-    # keeps the check on its intended domain.
+    # keeps the check on its intended domain.  They are tested first: every
+    # filter gives the same verdict, and these need no per-edge search.
     if an.sigma_v != an.alpha or an.omega_v != an.omega:
+        return Verdict(NOT_APPLICABLE)
+    if an.sigma_e is None or an.omega_e is None:
+        return Verdict(NOT_APPLICABLE)
+    if an.alpha != an.sigma_e or an.omega != an.omega_e:
         return Verdict(NOT_APPLICABLE)
     lhs = an.omega_e * an.sigma_e
     return _bound_verdict(lhs, g.n, g.n - lhs,

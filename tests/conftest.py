@@ -3,16 +3,20 @@
 The oracles here deliberately avoid the library's fast paths: stability via
 raw subset enumeration, cores via explicit maximum-stable-set intersection,
 matchings via permutation pairing, clique systems by trying every clique
-choice, scans by checking every stream graph without the class walk, and
+choice, cliques through a vertex by testing every neighbour combination,
+scans by checking every stream graph without the class walk, and
 clique-of-stars blocks by isomorphism search.  They are the ground truth
-the optimized code is measured against.
+the optimized code is measured against.  ``check_conjecture3_reference``
+tests the conj3 filters with the per-edge ones first, so that the order the
+checker uses is shown not to change a verdict.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from giwb.bounds import VIOLATED, are_isomorphic, clique_of_stars
+from giwb.bounds import (NOT_APPLICABLE, VIOLATED, Verdict, _bound_verdict,
+                         are_isomorphic, clique_of_stars)
 from giwb.graphs import Graph, bits, from_edges, induced_subgraph, to_graph6
 from giwb.harness import (CheckTotals, ScanConfig, ScanReport,
                           _verdict_record, check_verdicts, enumerate_graphs)
@@ -127,6 +131,34 @@ def clique_systems_oracle(g: Graph, stable: int, order: int) -> list[tuple]:
         else:
             systems.append(combo)
     return systems
+
+
+def cliques_through_oracle(g: Graph, v: int, allowed: int,
+                           order: int) -> list[int]:
+    """Every clique of the given order through ``v`` inside ``allowed``,
+    sorted: each (order - 1)-combination of v's allowed neighbours, tested
+    pair by pair."""
+    out = []
+    for combo in itertools.combinations(bits(g.adj[v] & allowed), order - 1):
+        if all(g.has_edge(a, b) for a, b in itertools.combinations(combo, 2)):
+            out.append(sum(1 << u for u in combo) | 1 << v)
+    return sorted(out)
+
+
+def check_conjecture3_reference(g: Graph, an: GraphAnalysis) -> Verdict:
+    """conj3 with the per-edge filters (sigma_e, omega_e) tested before
+    sigma_v = alpha and omega_v = omega."""
+    if g.n == 0 or g.has_isolated_vertex():
+        return Verdict(NOT_APPLICABLE)
+    if an.sigma_e is None or an.omega_e is None:
+        return Verdict(NOT_APPLICABLE)
+    if an.alpha != an.sigma_e or an.omega != an.omega_e:
+        return Verdict(NOT_APPLICABLE)
+    if an.sigma_v != an.alpha or an.omega_v != an.omega:
+        return Verdict(NOT_APPLICABLE)
+    lhs = an.omega_e * an.sigma_e
+    return _bound_verdict(lhs, g.n, g.n - lhs,
+                          witness={"omega_e": an.omega_e, "sigma_e": an.sigma_e})
 
 
 def clique_of_stars_fit_reference(g: Graph, comp: int):

@@ -1,17 +1,22 @@
 """Clique systems and the conjecture checkers."""
 
 import pytest
+from hypothesis import given, strategies as st
 
-from conftest import (clique_systems_oracle, complement_oracle, edgeless,
+from conftest import (check_conjecture3_reference, clique_systems_oracle,
+                      cliques_through_oracle, complement_oracle, edgeless,
                       maximum_stable_sets_oracle, omega_e_oracle,
                       sigma_v_oracle)
 from giwb.bounds import (HOLDS, NOT_APPLICABLE, VIOLATED, complete as k_n,
                          cycle, path)
-from giwb.conjectures import (CliqueSystem, check_conjecture1_bound,
-                              check_conjecture1_full, check_conjecture3,
-                              check_omega_v_substitution, clique_system_search)
+from giwb.conjectures import (CliqueSystem, _cliques_through,
+                              check_conjecture1_bound, check_conjecture1_full,
+                              check_conjecture3, check_omega_v_substitution,
+                              clique_system_search)
 from giwb.graphs import from_edges, mask_of, parse_graph6
-from giwb.invariants import maximum_stable_sets
+from giwb.harness import enumerate_graphs
+from giwb.invariants import _TABLE_CAP, GraphAnalysis, maximum_stable_sets
+from test_graphs import graphs
 
 
 class TestCliqueSystem:
@@ -90,6 +95,27 @@ class TestCliqueSystem:
         assert first == second
 
 
+class TestCliquesThrough:
+    @given(graphs, st.integers(min_value=0), st.integers(min_value=0))
+    def test_matches_combination_oracle(self, g, v, allowed):
+        if g.n == 0:
+            return
+        v %= g.n
+        allowed &= g.full_mask
+        for order in range(1, g.n + 2):
+            assert (_cliques_through(g, v, allowed, order)
+                    == cliques_through_oracle(g, v, allowed, order)), order
+
+    @given(graphs, st.integers(min_value=0))
+    def test_order_one_and_orders_past_the_degree(self, g, v):
+        if g.n == 0:
+            return
+        v %= g.n
+        assert _cliques_through(g, v, g.full_mask, 1) == [1 << v]
+        for order in range(g.degree(v) + 2, g.n + 2):
+            assert _cliques_through(g, v, g.full_mask, order) == []
+
+
 class TestConjecture1:
     def test_bound_on_odd_cycle(self):
         v = check_conjecture1_bound(cycle(5))
@@ -130,6 +156,25 @@ class TestConjecture3:
         star3 = from_edges(4, [(0, 1), (0, 2), (0, 3)])
         assert check_conjecture3(path(3)).status == NOT_APPLICABLE
         assert check_conjecture3(star3).status == NOT_APPLICABLE
+
+    @given(graphs)
+    def test_filter_order_keeps_the_verdict(self, g):
+        assert (check_conjecture3(g, GraphAnalysis(g))
+                == check_conjecture3_reference(g, GraphAnalysis(g)))
+
+    def test_filter_order_keeps_the_verdict_on_every_class(self):
+        for n in range(1, 7):
+            for g in enumerate_graphs(n, dedup=True):
+                assert (check_conjecture3(g, GraphAnalysis(g))
+                        == check_conjecture3_reference(g, GraphAnalysis(g)))
+
+    def test_non_b_graph_skips_the_per_edge_invariants(self):
+        star = from_edges(10, [(0, v) for v in range(1, 10)])
+        assert star.n > _TABLE_CAP
+        an = GraphAnalysis(star)
+        assert check_conjecture3(star, an).status == NOT_APPLICABLE
+        assert an.sigma_v != an.alpha
+        assert "omega_e" not in an.__dict__ and "sigma_e" not in an.__dict__
 
 
 class TestOmegaVSubstitution:

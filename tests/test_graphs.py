@@ -18,8 +18,8 @@ def random_graph(n: int, edge_bits: int) -> Graph:
     return from_edges(n, [e for i, e in enumerate(pairs) if edge_bits >> i & 1])
 
 
-def graphs_up_to(n_max: int):
-    return st.integers(min_value=0, max_value=n_max).flatmap(
+def graphs_up_to(n_max: int, n_min: int = 0):
+    return st.integers(min_value=n_min, max_value=n_max).flatmap(
         lambda n: st.builds(random_graph, st.just(n),
                             st.integers(0, (1 << (n * (n - 1) // 2)) - 1)))
 

@@ -4,20 +4,24 @@ import gc
 import weakref
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import (alpha_oracle, all_labeled_graphs, cores_oracle, edgeless,
                       is_stable, maximum_stable_sets_oracle,
                       perfect_matching_oracle)
+from giwb import invariants
 from giwb.bounds import complete, cycle, path
 from giwb.graphs import Graph, bits, complement, from_edges
-from giwb.invariants import (GraphAnalysis, core_decomposition,
+from giwb.invariants import (_TABLE_CAP, GraphAnalysis, core_decomposition,
                              criticality_profile, has_perfect_matching,
                              invariant_suite, max_clique_containing_edge,
                              max_stable_containing, maximal_cliques,
                              maximal_stable_sets, maximum_stable_sets,
                              stability_number)
-from test_graphs import graphs, small_graphs
+from test_graphs import graphs, graphs_up_to, small_graphs
+
+# Orders where the α memo answers what a wider table would.
+memo_graphs = graphs_up_to(14, n_min=_TABLE_CAP + 1)
 
 
 class TestStabilityNumber:
@@ -67,10 +71,48 @@ class TestAnalysisTable:
             gc.enable()
 
     def test_table_fallback_above_cap(self):
-        g = edgeless(20)  # above the subset-table cap
+        g = edgeless(20)  # far above the subset-table cap
         an = GraphAnalysis(g)
         assert an._table is None
         assert an.alpha == 20 and an.sigma_v == 20
+        g = cycle(12)  # above the cap, below 16
+        an = GraphAnalysis(g)
+        assert _TABLE_CAP < g.n <= 16 and an._table is None
+        assert (an.alpha, an.sigma_v, an.omega, an.omega_e) == (6, 6, 2, 2)
+        for s in (0, g.full_mask, 0b101101101101, g.full_mask >> 3):
+            assert an.alpha_of(s) == alpha_oracle(g, s)
+
+
+class TestAlphaMemo:
+    @settings(deadline=None)
+    @given(memo_graphs)
+    def test_memo_agrees_with_the_table(self, g):
+        def suite(uses_table):
+            an = GraphAnalysis(g)
+            assert (an._table is not None) == uses_table
+            return invariant_suite(g), an.cores
+        memo = suite(uses_table=False)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(invariants, "_TABLE_CAP", 16)
+            assert suite(uses_table=True) == memo
+
+    @given(memo_graphs)
+    def test_each_subset_is_searched_once(self, g):
+        searched = []
+        real = invariants.stability_number
+
+        def counted(graph, subset=None):
+            searched.append(subset)
+            return real(graph, subset)
+        an = GraphAnalysis(g)
+        full = g.full_mask
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(invariants, "stability_number", counted)
+            an.sigma_v
+            an.cores
+        closed_non_nbhds = {full & ~(g.adj[v] | 1 << v) for v in range(g.n)}
+        deletions = {full & ~(1 << v) for v in range(g.n)}
+        assert sorted(searched) == sorted(closed_non_nbhds | deletions | {full})
 
 
 class TestInvariantSuite:
