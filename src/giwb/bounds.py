@@ -189,19 +189,18 @@ def clique_of_stars(tau: int, leaves: int) -> Graph:
     ``leaves`` pendant leaves; vertices 0..tau-1 are the clique."""
     if tau < 1 or leaves < 1:
         raise ValueError("clique-of-stars needs tau >= 1 and leaves >= 1")
-    n = tau * (leaves + 1)
-    edges = list(itertools.combinations(range(tau), 2))
-    for i in range(tau):
-        for j in range(leaves):
-            edges.append((i, tau + i * leaves + j))
-    return from_edges(n, edges)
+    spokes = ((i, tau + i * leaves + j)
+              for i in range(tau) for j in range(leaves))
+    return from_edges(tau * (leaves + 1),
+                      itertools.chain(itertools.combinations(range(tau), 2),
+                                      spokes))
 
 
 def star(leaves: int) -> Graph:
     """Star with ``leaves`` pendant leaves (vertex 0 is the center)."""
     if leaves < 1:
         raise ValueError("star needs at least one leaf")
-    return from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+    return from_edges(leaves + 1, ((0, i) for i in range(1, leaves + 1)))
 
 
 def complete(n: int) -> Graph:
@@ -219,13 +218,13 @@ def odd_cycle(n: int) -> Graph:
 def cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle needs n >= 3")
-    return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    return from_edges(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def path(n: int) -> Graph:
     if n < 1:
         raise ValueError("path needs n >= 1")
-    return from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    return from_edges(n, ((i, i + 1) for i in range(n - 1)))
 
 
 # kind -> (builder, parameter names)

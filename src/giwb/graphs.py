@@ -100,9 +100,14 @@ class Graph:
 
 
 def from_edges(n: int, edges) -> Graph:
-    """Graph on ``n`` vertices with the given ``(u, v)`` edges."""
+    """Graph on ``n`` vertices with the given ``(u, v)`` edges.  The order
+    is checked before ``edges`` is read, each endpoint as it is read."""
+    if not 0 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES}")
     adj = [0] * n
     for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) has a vertex outside 0..{n - 1}")
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
         adj[u] |= 1 << v

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .bounds import HOLDS, NOT_APPLICABLE, Verdict, _bound_verdict
+from .bounds import NOT_APPLICABLE, Verdict, _bound_verdict
 from .graphs import (Graph, GraphFormatError, MAX_VERTICES, bits, mask_of,
                      parse_counted)
 from .invariants import GraphAnalysis, maximal_cliques, maximal_stable_sets
@@ -127,29 +127,16 @@ def is_conformal_oracle(h: HyperGraph) -> bool:
 
 def check_hyper_corollary(g: Graph, an: Optional[GraphAnalysis] = None) -> Verdict:
     """2 * r_max <= |V| for the maximal-stable-set hypergraph of ``g``,
-    applicable when the edges have empty intersection and full union
-    (equivalently: both cores of ``g`` are empty).  slack = rhs - lhs."""
+    applicable when both cores of ``g`` are empty, which makes its edges
+    meet in no vertex and cover every vertex (the converse fails on P_3).
+    r_max is alpha for every graph, so no hypergraph is built.
+    slack = rhs - lhs."""
     if g.n == 0:
         return Verdict(NOT_APPLICABLE)
     an = an or GraphAnalysis(g)
-    cores = an.cores
-    if cores.alpha_core or cores.tau_core:
+    if an.cores.alpha_core or an.cores.tau_core:
         return Verdict(NOT_APPLICABLE)
-    # Empty cores force the raw edge-family conditions: the edges intersect
-    # trivially and cover every vertex.  (The converse is false: the maximal
-    # stable sets of P_3 have empty intersection while its alpha_core does
-    # not, so applicability is gated on the cores.)
-    h = stable_set_hypergraph(g)
-    inter = h.edges[0]
-    for e in h.edges:
-        inter &= e
-    if inter:
-        raise RuntimeError("empty cores, yet the maximal stable sets share a vertex")
-    if h.covered_vertices() != g.full_mask:
-        raise RuntimeError("empty cores, yet the maximal stable sets miss a vertex")
-    if h.r_max != an.alpha:
-        raise RuntimeError("the largest maximal stable set is not of size alpha")
-    lhs = 2 * h.r_max
+    lhs = 2 * an.alpha
     return _bound_verdict(lhs, g.n, g.n - lhs)
 
 

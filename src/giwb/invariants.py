@@ -9,7 +9,8 @@ lookup; above the cap each distinct subset is searched once by
 branch-and-bound and memoized.  The table costs 2^n steps whatever is
 asked, so it pays only on small graphs: the two are even at n = 9, and
 branch-and-bound wins from n = 10 on (see ``_TABLE_CAP``).  Every scan
-(n <= 7) stays on the table.
+(n <= 7) stays on the table.  The cores and the critical edges read the
+same queries: no vertex or edge is deleted.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional
 
-from .graphs import Graph, VertexMask, bridges, complement, component_count
+from .graphs import (Graph, VertexMask, bridges, complement, component_count,
+                     mask_of)
 
 # Largest n for which the 2^n subset table is built; beyond it each distinct
 # subset is searched once by branch-and-bound.  All 11 checks on random
@@ -180,11 +182,10 @@ class GraphAnalysis:
     """Cached exact analysis of one graph.
 
     Builds the subset table of stability numbers once (n <= 8) so that the
-    vertex-deletion and through-vertex queries behind sigma_v, the cores, and
-    the criticality predicates are O(1) lookups.  Above the cap each
-    distinct subset is searched once and its α memoized, so the cores reuse
-    the searches of sigma_v.  All results are plain values; instances are
-    cheap to throw away.
+    through-vertex queries behind sigma_v, the cores, and the criticality
+    predicates are O(1) lookups.  Above the cap each distinct subset is
+    searched once and its α memoized.  All results are plain values;
+    instances are cheap to throw away.
     """
 
     def __init__(self, g: Graph):
@@ -265,15 +266,20 @@ class GraphAnalysis:
 
     @cached_property
     def cores(self) -> CoreDecomposition:
+        """tau_core holds the vertices through which no stable set reaches
+        alpha; alpha_core holds those whose neighbours all lie in tau_core,
+        which are exactly the vertices of every maximum stable set:
+        - if N(v) ⊆ tau_core and a maximum stable set S missed v, then
+          S ∪ {v} would be stable;
+        - a neighbour that lies in some maximum stable set keeps v out of
+          that set.
+        Both read only alpha and the per-vertex queries of sigma_v."""
         g = self.g
         a = self.alpha
-        alpha_core = tau_core = 0
-        for v in range(g.n):
-            vb = 1 << v
-            if self.alpha_of(g.full_mask & ~vb) == a - 1:
-                alpha_core |= vb
-            elif self.max_stable_containing(v) < a:
-                tau_core |= vb
+        tau_core = mask_of(v for v in range(g.n)
+                           if self.max_stable_containing(v) < a)
+        alpha_core = mask_of(v for v in range(g.n)
+                             if not g.adj[v] & ~tau_core)
         b = g.full_mask & ~(alpha_core | tau_core)
         return CoreDecomposition(alpha_core, tau_core, b)
 
@@ -305,8 +311,8 @@ def invariant_suite(g: Graph) -> InvariantReport:
 
 
 def core_decomposition(g: Graph) -> CoreDecomposition:
-    """Deletion-based cores: v is in alpha_core iff deleting it drops alpha;
-    v is in tau_core iff no maximum stable set contains it."""
+    """Cores: v is in tau_core iff no maximum stable set contains it, and in
+    alpha_core iff every one does, i.e. iff N(v) lies inside tau_core."""
     return GraphAnalysis(g).cores
 
 
@@ -314,23 +320,18 @@ def criticality_profile(g: Graph) -> CriticalityProfile:
     """B-graph / tau-critical / alpha-critical flags plus the edge partition
     behind the necessary condition for edge-minimal graphs."""
     an = GraphAnalysis(g)
-    is_tc = an.is_tau_critical
-    # Cross-check the vertex-deletion characterization of tau-criticality.
-    by_deletion = all(
-        (g.n - 1) - an.alpha_of(g.full_mask & ~(1 << v)) < an.tau
-        for v in range(g.n))
-    if by_deletion != is_tc:
-        raise RuntimeError("deletion and core tau-criticality tests disagree")
     edges = list(g.edges())
+    # A stable set of G - uv larger than alpha holds both u and v, so uv is
+    # critical iff 2 + alpha(V - N(u) - N(v)) = alpha + 1 (N(u) holds v).
     critical = frozenset(
-        e for e in edges
-        if stability_number(g.remove_edge(*e)) == an.alpha + 1)
+        (u, v) for u, v in edges
+        if 1 + an.alpha_of(g.full_mask & ~(g.adj[u] | g.adj[v])) == an.alpha)
     bridge_edges = frozenset(bridges(g))
     is_ac = bool(edges) and len(critical) == len(edges)
     q_min = all(e in critical or e in bridge_edges for e in edges)
     return CriticalityProfile(
         is_b_graph=an.is_b_graph,
-        is_tau_critical=is_tc,
+        is_tau_critical=an.is_tau_critical,
         is_alpha_critical=is_ac,
         q_minimal_necessary=q_min,
         critical_edges=critical,

@@ -1,9 +1,10 @@
 """Shared construction helpers and independent oracles for the test suite.
 
 The oracles here deliberately avoid the library's fast paths: stability via
-raw subset enumeration, cores via explicit maximum-stable-set intersection,
-matchings via permutation pairing, clique systems by trying every clique
-choice, cliques through a vertex by testing every neighbour combination,
+raw subset enumeration, cores via explicit maximum-stable-set intersection
+and via vertex deletion, hyper-cor via the maximal-stable-set hypergraph
+itself, matchings via permutation pairing, clique systems by trying every
+clique choice, cliques through a vertex by testing every neighbour combination,
 scans by checking every stream graph without the class walk, and
 clique-of-stars blocks by isomorphism search.  They are the ground truth
 the optimized code is measured against.  ``check_conjecture3_reference``
@@ -13,6 +14,7 @@ checker uses is shown not to change a verdict.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from giwb.bounds import (NOT_APPLICABLE, VIOLATED, Verdict, _bound_verdict,
@@ -20,7 +22,8 @@ from giwb.bounds import (NOT_APPLICABLE, VIOLATED, Verdict, _bound_verdict,
 from giwb.graphs import Graph, bits, from_edges, induced_subgraph, to_graph6
 from giwb.harness import (CheckTotals, ScanConfig, ScanReport,
                           _verdict_record, check_verdicts, enumerate_graphs)
-from giwb.invariants import GraphAnalysis
+from giwb.hypergraphs import stable_set_hypergraph
+from giwb.invariants import GraphAnalysis, stability_number
 
 
 def edgeless(n: int) -> Graph:
@@ -63,6 +66,37 @@ def cores_oracle(g: Graph) -> tuple[int, int]:
         inter &= s
         union |= s
     return inter, g.full_mask & ~union
+
+
+def cores_by_deletion(g: Graph) -> tuple[int, int]:
+    """(alpha_core, tau_core) by vertex deletion: v is in alpha_core iff
+    deleting it drops alpha, and in tau_core iff no stable set through v has
+    alpha vertices.  Every alpha is a fresh branch-and-bound search."""
+    a = stability_number(g)
+    alpha_core = tau_core = 0
+    for v in range(g.n):
+        vb = 1 << v
+        if stability_number(g, g.full_mask & ~vb) == a - 1:
+            alpha_core |= vb
+        elif 1 + stability_number(g, g.full_mask & ~(g.adj[v] | vb)) < a:
+            tau_core |= vb
+    return alpha_core, tau_core
+
+
+def check_hyper_corollary_reference(g: Graph) -> Verdict:
+    """hyper-cor from the maximal-stable-set hypergraph: applicable when the
+    deletion cores are empty, with r_max read off the hypergraph's edges."""
+    if g.n == 0 or any(cores_by_deletion(g)):
+        return Verdict(NOT_APPLICABLE)
+    lhs = 2 * stable_set_hypergraph(g).r_max
+    return _bound_verdict(lhs, g.n, g.n - lhs)
+
+
+@functools.lru_cache(maxsize=None)
+def dedup_classes(n_max: int = 7) -> tuple[Graph, ...]:
+    """One representative of every isomorphism class on 1..n_max vertices."""
+    return tuple(g for n in range(1, n_max + 1)
+                 for g in enumerate_graphs(n, dedup=True))
 
 
 def perfect_matching_oracle(g: Graph) -> bool:

@@ -15,7 +15,9 @@ from giwb.harness import CHECKS
 from giwb.invariants import GraphAnalysis
 
 
-README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
 
 
 def readme_cli_lines() -> list[str]:
@@ -240,6 +242,13 @@ class TestGenerateAndCatalog:
                                 "clique-of-stars", "--params", "2", "2")
         assert code == 0 and captured.out.strip() == "EsP?"
 
+    def test_generate_rejects_a_huge_order_without_building_it(self, capsys):
+        start = time.perf_counter()
+        code, _, captured = run(capsys, "generate", "--family", "complete",
+                                "--params", "4000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and "vertex count 4000 outside" in captured.err
+
     def test_generate_bad_params(self, capsys):
         code, _, captured = run(capsys, "generate", "--family", "odd-cycle",
                                 "--params", "4")
@@ -358,6 +367,24 @@ class TestErrors:
     def test_records_carry_version(self, capsys):
         _, records, _ = run(capsys, "invariants", "Dhc")
         assert records[0]["version"]
+
+
+def workflow_smoke_lines() -> list[str]:
+    """The ``giwb`` lines of the CI workflow's console-script smoke step."""
+    return [line.strip() for line in WORKFLOW.read_text(encoding="utf-8")
+            .splitlines() if line.strip().startswith("giwb ")]
+
+
+class TestWorkflowSmoke:
+    def test_every_subcommand_is_smoked(self):
+        smoked = {shlex.split(line)[1] for line in workflow_smoke_lines()}
+        assert smoked == {"invariants", "decompose", "gamma", "check",
+                          "search", "generate", "catalog-min-edges"}
+
+    @pytest.mark.parametrize("line", workflow_smoke_lines())
+    def test_line_exits_0(self, capsys, line):
+        assert cli.main(shlex.split(line)[1:]) == 0, capsys.readouterr().err
+        assert capsys.readouterr().out
 
 
 class TestReadme:

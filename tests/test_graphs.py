@@ -49,6 +49,20 @@ class TestConstruction:
         with pytest.raises(ValueError, match="outside"):
             Graph(65, (0,) * 65)
 
+    def test_from_edges_checks_the_order_before_reading_edges(self):
+        def unreadable():
+            raise AssertionError("edges read for an order beyond the cap")
+            yield
+        with pytest.raises(ValueError, match="vertex count 100000 outside"):
+            from_edges(10**5, unreadable())
+        with pytest.raises(ValueError, match="vertex count -1 outside"):
+            from_edges(-1, unreadable())
+
+    @pytest.mark.parametrize("edge", [(0, 5), (3, 0), (-1, 1)])
+    def test_from_edges_rejects_endpoints_beyond_n(self, edge):
+        with pytest.raises(ValueError, match=r"outside 0\.\.2"):
+            from_edges(3, [edge])
+
     def test_bits_and_mask_of_invert(self):
         assert bits(mask_of([0, 3, 5])) == (0, 3, 5)
         assert mask_of(bits(0b101001)) == 0b101001

@@ -1,19 +1,25 @@
 """Hypergraph machinery: parsing, 2-section, conformality, and the derived
 bound checks."""
 
+import functools
 import itertools
+import operator
 import random
 
 import pytest
+from hypothesis import given, settings
 
+from conftest import check_hyper_corollary_reference, dedup_classes
 from giwb.bounds import HOLDS, NOT_APPLICABLE, complete as k_n, cycle, path
-from giwb import hypergraphs
+from giwb import hypergraphs, invariants
 from giwb.graphs import Graph, GraphFormatError, parse_graph6
 from giwb.hypergraphs import (HyperGraph, check_conjecture2,
                               check_hyper_corollary, incidence_matrix,
                               is_conformal, is_conformal_oracle,
                               parse_hypergraph, stable_set_hypergraph,
                               two_section)
+from giwb.invariants import GraphAnalysis
+from test_graphs import graphs_up_to
 
 
 def all_hypergraphs(n: int):
@@ -109,19 +115,36 @@ class TestHyperCorollary:
         assert check_hyper_corollary(path(3)).status == NOT_APPLICABLE
         assert check_hyper_corollary(Graph(0, ())).status == NOT_APPLICABLE
 
-    def test_hypergraph_built_only_when_applicable(self, monkeypatch):
+    def test_hypergraph_never_built(self, monkeypatch):
         def unexpected(g):
-            raise AssertionError("hypergraph built for an inapplicable graph")
-        monkeypatch.setattr(hypergraphs, "stable_set_hypergraph", unexpected)
+            raise AssertionError("the check built a hypergraph")
+        for name in ("stable_set_hypergraph", "maximal_stable_sets"):
+            monkeypatch.setattr(hypergraphs, name, unexpected)
+        monkeypatch.setattr(invariants, "maximal_stable_sets", unexpected)
         assert check_hyper_corollary(parse_graph6("Bg")).status == NOT_APPLICABLE
+        assert check_hyper_corollary(cycle(5)).status == HOLDS
+        assert check_hyper_corollary(cycle(4)).equality
 
-    def test_broken_invariant_raises(self, monkeypatch):
-        # C_5 has empty cores, so its maximal stable sets cannot all share
-        # vertex 0; a hypergraph claiming so must be reported, not skipped.
-        monkeypatch.setattr(hypergraphs, "stable_set_hypergraph",
-                            lambda g: HyperGraph(5, (0b00101, 0b01001)))
-        with pytest.raises(RuntimeError, match="share a vertex"):
-            check_hyper_corollary(cycle(5))
+    @staticmethod
+    def assert_identities(g):
+        # Empty cores make the maximal stable sets meet in no vertex and
+        # cover every vertex, and the largest of them has alpha vertices.
+        an = GraphAnalysis(g)
+        h = stable_set_hypergraph(g)
+        assert h.r_max == an.alpha
+        if an.cores.alpha_core == an.cores.tau_core == 0 < g.n:
+            assert functools.reduce(operator.and_, h.edges) == 0
+            assert h.covered_vertices() == g.full_mask
+        assert check_hyper_corollary(g) == check_hyper_corollary_reference(g)
+
+    def test_identities_on_every_class(self):
+        for g in dedup_classes(7):
+            self.assert_identities(g)
+
+    @settings(deadline=None)
+    @given(graphs_up_to(14))
+    def test_identities(self, g):
+        self.assert_identities(g)
 
 
 class TestConjecture2:

@@ -6,9 +6,9 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (alpha_oracle, all_labeled_graphs, cores_oracle, edgeless,
-                      is_stable, maximum_stable_sets_oracle,
-                      perfect_matching_oracle)
+from conftest import (alpha_oracle, all_labeled_graphs, cores_by_deletion,
+                      cores_oracle, dedup_classes, edgeless, is_stable,
+                      maximum_stable_sets_oracle, perfect_matching_oracle)
 from giwb import invariants
 from giwb.bounds import complete, cycle, path
 from giwb.graphs import Graph, bits, complement, from_edges
@@ -110,9 +110,9 @@ class TestAlphaMemo:
             mp.setattr(invariants, "stability_number", counted)
             an.sigma_v
             an.cores
+        # cores reads sigma_v's searches and alpha, and deletes no vertex.
         closed_non_nbhds = {full & ~(g.adj[v] | 1 << v) for v in range(g.n)}
-        deletions = {full & ~(1 << v) for v in range(g.n)}
-        assert sorted(searched) == sorted(closed_non_nbhds | deletions | {full})
+        assert sorted(searched) == sorted(closed_non_nbhds | {full})
 
 
 class TestInvariantSuite:
@@ -215,6 +215,31 @@ class TestCores:
         assert cores.alpha_core & cores.tau_core == 0
         assert cores.b_part & (cores.alpha_core | cores.tau_core) == 0
 
+    def test_matches_both_oracles_on_every_class(self):
+        for g in dedup_classes(7):
+            cores = GraphAnalysis(g).cores
+            got = (cores.alpha_core, cores.tau_core)
+            assert got == cores_by_deletion(g) == cores_oracle(g), g
+
+    @settings(deadline=None)
+    @given(memo_graphs)
+    def test_matches_both_oracles_above_the_table_cap(self, g):
+        cores = GraphAnalysis(g).cores
+        got = (cores.alpha_core, cores.tau_core)
+        assert got == cores_by_deletion(g) == cores_oracle(g)
+
+    @settings(deadline=None)
+    @given(graphs_up_to(14))
+    def test_asks_no_alpha_beyond_sigma_v(self, g):
+        an = GraphAnalysis(g)
+        asked = []
+        real = an.alpha_of
+        an.alpha_of = lambda subset: asked.append(subset) or real(subset)
+        an.sigma_v
+        before = set(asked)
+        an.cores
+        assert set(asked) <= before | {g.full_mask}
+
     def test_known_decompositions(self):
         p3 = core_decomposition(path(3))
         assert (p3.alpha_core, p3.tau_core, p3.b_part) == (0b101, 0b010, 0)
@@ -247,6 +272,25 @@ class TestCriticality:
         assert prof.is_b_graph and not prof.is_tau_critical
         assert not prof.is_alpha_critical
         assert prof.q_minimal_necessary
+
+    @staticmethod
+    def assert_matches_deletion(g):
+        prof = criticality_profile(g)
+        a = stability_number(g)
+        assert prof.critical_edges == {
+            e for e in g.edges() if stability_number(g.remove_edge(*e)) == a + 1}
+        assert prof.is_tau_critical == all(
+            stability_number(g, g.full_mask & ~(1 << v)) == a
+            for v in range(g.n))
+
+    def test_matches_deletion_on_every_class(self):
+        for g in dedup_classes(7):
+            self.assert_matches_deletion(g)
+
+    @settings(deadline=None)
+    @given(graphs_up_to(14))
+    def test_matches_deletion(self, g):
+        self.assert_matches_deletion(g)
 
 
 class TestMonotoneChains:
