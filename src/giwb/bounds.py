@@ -66,57 +66,51 @@ def classify_equality_theorem1(g: Graph,
                                an: Optional[GraphAnalysis] = None) -> Verdict:
     """Structure of the equality case of theorem1 when alpha > sigma_v.
 
-    Matches a disjoint union of clique-of-stars blocks sharing one leaf
-    count: each component must be a clique K_k whose every vertex carries
-    the same number ell >= 1 of pendant leaves.  The connected case is the
-    single clique-of-stars family; disconnected equality cases (e.g. two
-    disjoint 2-leaf stars) force the union form.  The blocks are recognized
-    directly, so the classification is exact at every order: a 2-vertex
-    component is (k, ell) = (1, 1); in a larger one the leaves are the
-    degree-1 vertices, the other k vertices must form a clique, and each of
-    them must carry the same ell >= 1 leaves (a leaf's neighbour is never a
-    leaf there).  Components are fitted in ``connected_components`` order;
-    the fitted (k, ell) pairs are reported alongside alpha - sigma_v + 1.
+    Matches the corona H o ellK_1 with ell >= 2: a graph H on tau vertices,
+    the centers, each carrying ell pendant leaves.  H may be any graph;
+    H = K_tau is clique_of_stars(tau, ell), and a disconnected H gives a
+    disjoint union of coronas with one leaf count.  Every such corona is an
+    equality case: alpha = tau * ell (the leaves), a center reaches only
+    1 + (tau - 1) * ell, so sigma_v = alpha - ell + 1 and
+    tau * (1 + alpha - sigma_v) = tau * ell = alpha, with alpha > sigma_v
+    iff ell >= 2.  The converse, that every equality case with
+    alpha > sigma_v is a corona, has no proof here; the tests verify it on
+    every class with n <= 7, and an exhaustive pass over n <= 9 agreed.
+    The corona is recognized directly (``_corona_shape``); the witness
+    reports tau, ell, alpha - sigma_v + 1 and the vertex mask of H, and a
+    violation reports the sorted degree sequence.
     """
     an = an or GraphAnalysis(g)
     base = check_theorem1(g, an)
     if not (base.status == HOLDS and base.equality and an.alpha > an.sigma_v):
         return Verdict(NOT_APPLICABLE)
-
-    from .graphs import connected_components
-
-    fitted: list[tuple[int, int]] = []
-    for comp in connected_components(g):
-        block = _clique_of_stars_shape(g, comp)
-        if block is None:
-            return Verdict(VIOLATED,
-                           witness={"component_order": comp.bit_count()})
-        fitted.append(block)
-    leaf_counts = {ell for _, ell in fitted}
-    if len(leaf_counts) != 1:
-        return Verdict(VIOLATED, witness={"leaf_counts": sorted(leaf_counts)})
-    ell = leaf_counts.pop()
+    shape = _corona_shape(g)
+    if shape is None:
+        return Verdict(VIOLATED, witness={
+            "degrees": sorted(g.degree(v) for v in range(g.n))})
+    centers, ell = shape
     witness = {
         "tau": an.tau,
         "leaves": ell,
         "alpha_minus_sigma_v_plus_1": an.alpha - an.sigma_v + 1,
-        "components": fitted,
+        "centers": centers,
     }
     return Verdict(HOLDS, equality=True, witness=witness)
 
 
-def _clique_of_stars_shape(g: Graph, comp: int) -> Optional[tuple[int, int]]:
-    """(k, ell) when the component ``comp`` of ``g`` is clique_of_stars(k,
-    ell), else None."""
-    if comp.bit_count() == 2:
-        return 1, 1
-    leaves = sum(1 << v for v in bits(comp) if g.degree(v) == 1)
-    centers = comp & ~leaves
+def _corona_shape(g: Graph) -> Optional[tuple[int, int]]:
+    """(centers, ell) when ``g`` is the corona H o ellK_1 with ell >= 2 and
+    H the subgraph induced on the vertex mask ``centers``, else None.  The
+    leaves are the degree-1 vertices (a center has degree >= ell >= 2), no
+    leaf may be adjacent to another, and every other vertex must carry the
+    same ell >= 2 leaves."""
+    leaves = sum(1 << v for v in range(g.n) if g.degree(v) == 1)
+    centers = g.full_mask & ~leaves
     carried = {(g.adj[c] & leaves).bit_count() for c in bits(centers)}
-    if len(carried) != 1 or 0 in carried or any(
-            g.adj[c] & centers != centers & ~(1 << c) for c in bits(centers)):
+    if (len(carried) != 1 or min(carried) < 2
+            or any(g.adj[leaf] & leaves for leaf in bits(leaves))):
         return None
-    return centers.bit_count(), carried.pop()
+    return centers, carried.pop()
 
 
 def check_cor1(g: Graph, an: Optional[GraphAnalysis] = None) -> Verdict:
@@ -130,7 +124,16 @@ def check_cor1(g: Graph, an: Optional[GraphAnalysis] = None) -> Verdict:
 
 def check_berge(g: Graph, an: Optional[GraphAnalysis] = None) -> Verdict:
     """B-graphs without isolated vertices are tau-critical.  lhs = 1 when
-    tau-critical, rhs = 1."""
+    tau-critical, rhs = 1.
+
+    This check cannot fail by construction: a B-graph has an empty tau_core,
+    and ``GraphAnalysis.cores`` builds alpha_core by the neighbour rule, so
+    alpha_core is exactly the isolated vertices, which the scope excludes;
+    every graph in scope holds with equality.  Its scan totals therefore
+    test no theorem.  The independent evidence for the cores is in the
+    tests: criterion 07b compares them with the intersection and union of
+    the maximum stable sets, and ``cores_by_deletion`` with vertex
+    deletion."""
     an = an or GraphAnalysis(g)
     if g.n == 0 or g.has_isolated_vertex() or not an.is_b_graph:
         return Verdict(NOT_APPLICABLE)

@@ -102,30 +102,41 @@ def _graph_from_mask(n: int, mask: int, edge_list) -> Graph:
     return g
 
 
+# Masks per read of the ``seen`` marks in ``_orbits``: numpy skips the
+# marked masks of a block, so Python visits few masks beyond the classes.
+_SEEN_BLOCK = 4096
+
+
 def _orbits(n: int) -> Iterator[tuple[int, np.ndarray]]:
     """Ascending canonical edge masks, one per isomorphism class, each with
     its orbit: the mask's image under every vertex permutation, n! entries
-    in which each orbit member appears |Aut| times.
+    (in ``itertools.permutations`` order) in which each orbit member appears
+    |Aut| times.
 
     Ascending iteration plus orbit marking makes the first mask seen in
     each orbit exactly the lexicographic minimum over all permutations.
+    The walk reads the ``seen`` marks a block of masks at a time and visits
+    only the masks unmarked at the start of their block, re-testing each
+    because a class found earlier in the same block may have marked it; an
+    orbit is the sum, over the mask's set edges only, of each edge's image
+    bit under every permutation.
     """
     m = n * (n - 1) // 2
-    edge_list = _edge_list(n)
-    eidx = {e: i for i, e in enumerate(edge_list)}
-    perm_map = np.array(
-        [[eidx[tuple(sorted((p[u], p[v])))] for (u, v) in edge_list]
-         for p in itertools.permutations(range(n))],
-        dtype=np.int64)
+    us, vs = np.array(_edge_list(n), dtype=np.int64).reshape(m, 2).T
+    edge_index = np.zeros((n, n), dtype=np.int64)
+    edge_index[us, vs] = edge_index[vs, us] = np.arange(m)
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    image_bits = np.int64(1) << edge_index[perms[:, us], perms[:, vs]]
     seen = np.zeros(1 << m, dtype=bool)
-    shifts = np.arange(m, dtype=np.int64)
-    for mask in range(1 << m):
-        if seen[mask]:
-            continue
-        bitvals = (mask >> shifts) & 1
-        orbit = (bitvals[np.newaxis, :] << perm_map).sum(axis=1)
-        seen[orbit] = True
-        yield mask, orbit
+    for lo in range(0, 1 << m, _SEEN_BLOCK):
+        unseen = np.flatnonzero(~seen[lo:lo + _SEEN_BLOCK]) + lo
+        for mask in unseen.tolist():
+            if seen[mask]:
+                continue
+            columns = [i for i in range(m) if mask >> i & 1]
+            orbit = image_bits[:, columns].sum(axis=1)
+            seen[orbit] = True
+            yield mask, orbit
 
 
 def _labeled_count(n: int, connected_only: bool) -> int:

@@ -5,22 +5,26 @@ raw subset enumeration, cores via explicit maximum-stable-set intersection
 and via vertex deletion, hyper-cor via the maximal-stable-set hypergraph
 itself, matchings via permutation pairing, clique systems by trying every
 clique choice, cliques through a vertex by testing every neighbour combination,
-scans by checking every stream graph without the class walk, and
-clique-of-stars blocks by isomorphism search.  They are the ground truth
-the optimized code is measured against.  ``check_conjecture3_reference``
-tests the conj3 filters with the per-edge ones first, so that the order the
-checker uses is shown not to change a verdict.
+scans by checking every stream graph without the class walk, the class
+walk by visiting every edge mask, and coronas by isomorphism search.  They
+are the ground truth the optimized code is measured against.
+``check_conjecture3_reference`` tests the conj3 filters with the per-edge
+ones first, so that the order the checker uses is shown not to change a
+verdict.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from typing import Iterator
+
+import numpy as np
 
 from giwb.bounds import (NOT_APPLICABLE, VIOLATED, Verdict, _bound_verdict,
-                         are_isomorphic, clique_of_stars)
+                         are_isomorphic)
 from giwb.graphs import Graph, bits, from_edges, induced_subgraph, to_graph6
-from giwb.harness import (CheckTotals, ScanConfig, ScanReport,
+from giwb.harness import (CheckTotals, ScanConfig, ScanReport, _edge_list,
                           _verdict_record, check_verdicts, enumerate_graphs)
 from giwb.hypergraphs import stable_set_hypergraph
 from giwb.invariants import GraphAnalysis, stability_number
@@ -195,18 +199,27 @@ def check_conjecture3_reference(g: Graph, an: GraphAnalysis) -> Verdict:
                           witness={"omega_e": an.omega_e, "sigma_e": an.sigma_e})
 
 
-def clique_of_stars_fit_reference(g: Graph, comp: int):
-    """(k, ell) when the component ``comp`` of ``g`` is isomorphic to
-    clique_of_stars(k, ell), else None: k is the component's tau, ell is
-    its order / k - 1, and the decision is a permutation search."""
-    sub = induced_subgraph(g, comp)
-    k = GraphAnalysis(sub).tau
-    if k < 1 or sub.n % k:
-        return None
-    ell = sub.n // k - 1
-    if ell < 1 or not are_isomorphic(sub, clique_of_stars(k, ell)):
-        return None
-    return k, ell
+def corona(h: Graph, ell: int) -> Graph:
+    """The corona H o ellK_1: ``h`` on vertices 0..k-1, and vertex i's
+    ell pendant leaves on k + i * ell .. k + i * ell + ell - 1."""
+    k = h.n
+    spokes = [(i, k + i * ell + j) for i in range(k) for j in range(ell)]
+    return from_edges(k * (ell + 1), list(h.edges()) + spokes)
+
+
+def corona_fit_reference(g: Graph):
+    """(tau, ell) when ``g`` is isomorphic to a corona H o ellK_1 with
+    ell >= 2, else None: for every ell with (ell + 1) | n and every set C of
+    n / (ell + 1) vertices, build the corona of the subgraph induced on C
+    and test isomorphism with a permutation search."""
+    for ell in range(2, g.n):
+        if g.n % (ell + 1):
+            continue
+        for combo in itertools.combinations(range(g.n), g.n // (ell + 1)):
+            h = induced_subgraph(g, sum(1 << c for c in combo))
+            if are_isomorphic(g, corona(h, ell)):
+                return h.n, ell
+    return None
 
 
 def brute_force_scan(config: ScanConfig) -> ScanReport:
@@ -225,3 +238,27 @@ def brute_force_scan(config: ScanConfig) -> ScanReport:
                     _verdict_record(to_graph6(g), name, verdict))
     report.violations.sort(key=lambda rec: (rec["graph6"], rec["check"]))
     return report
+
+
+def orbits_reference(n: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Ascending canonical edge masks, one per isomorphism class, each with
+    its orbit: the mask's image under every vertex permutation, n! entries
+    in which each orbit member appears |Aut| times.  The walk tests every
+    edge mask, and each orbit shifts the mask's bits through a
+    per-permutation edge map built one Python row per permutation."""
+    m = n * (n - 1) // 2
+    edge_list = _edge_list(n)
+    eidx = {e: i for i, e in enumerate(edge_list)}
+    perm_map = np.array(
+        [[eidx[tuple(sorted((p[u], p[v])))] for (u, v) in edge_list]
+         for p in itertools.permutations(range(n))],
+        dtype=np.int64)
+    seen = np.zeros(1 << m, dtype=bool)
+    shifts = np.arange(m, dtype=np.int64)
+    for mask in range(1 << m):
+        if seen[mask]:
+            continue
+        bitvals = (mask >> shifts) & 1
+        orbit = (bitvals[np.newaxis, :] << perm_map).sum(axis=1)
+        seen[orbit] = True
+        yield mask, orbit

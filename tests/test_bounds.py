@@ -1,18 +1,19 @@
 """Bound checkers, the equality classifier, families, isomorphism, catalogs."""
 
+import itertools
 import random
 
 import pytest
 
-from conftest import clique_of_stars_fit_reference, edgeless
+from conftest import corona, corona_fit_reference, edgeless
 from giwb.bounds import (FAMILY_KINDS, FamilySpec, HOLDS, NOT_APPLICABLE,
-                         _clique_of_stars_shape, are_isomorphic,
+                         VIOLATED, _corona_shape, are_isomorphic,
                          catalog_min_edges, check_berge, check_cor1,
                          check_edge_bound, check_galvin_goddard,
                          check_theorem1, classify_equality_theorem1,
                          clique_of_stars, complete as k_n, cycle,
                          generate_family, path, star)
-from giwb.graphs import Graph, connected_components, from_edges
+from giwb.graphs import Graph, from_edges, induced_subgraph, parse_graph6
 from giwb.harness import enumerate_graphs
 
 P3_PLUS_P3 = from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
@@ -38,20 +39,40 @@ class TestTheorem1:
         assert not check_theorem1(edgeless(2)).applicable
 
 
+def _fit(shape):
+    """``_corona_shape``'s answer as the reference reports it: (tau, ell)."""
+    return None if shape is None else (shape[0].bit_count(), shape[1])
+
+
 class TestEqualityClassifier:
     def test_matches_clique_of_stars(self):
         v = classify_equality_theorem1(clique_of_stars(2, 2))
         assert v.status == HOLDS
         assert v.witness == {"tau": 2, "leaves": 2,
                              "alpha_minus_sigma_v_plus_1": 2,
-                             "components": [(2, 2)]}
+                             "centers": 0b11}
 
     def test_matches_disjoint_union_with_common_leaf_count(self):
         # Two disjoint paths P_3 = star(2) + star(2): equality with
-        # alpha > sigma_v but disconnected.
+        # alpha > sigma_v but disconnected; H is two isolated vertices.
         v = classify_equality_theorem1(P3_PLUS_P3)
         assert v.status == HOLDS
-        assert v.witness["components"] == [(1, 2), (1, 2)]
+        assert (v.witness["centers"], v.witness["leaves"]) == (0b10010, 2)
+
+    def test_matches_the_corona_of_a_path(self):
+        # The tree 6-8-7 with two leaves on each of 6, 7 and 8: the corona
+        # P_3 o 2K_1, an equality case (6 = 3 * 2) that is no clique of
+        # stars, since 6 and 7 are not adjacent.
+        g = parse_graph6("H???XbB")
+        assert [g.degree(v) for v in range(9)] == [1] * 6 + [3, 3, 4]
+        assert not g.has_edge(6, 7)
+        v = check_theorem1(g)
+        assert v.status == HOLDS and (v.lhs, v.rhs) == (6, 6)
+        c = classify_equality_theorem1(g)
+        assert c.status == HOLDS and c.equality
+        assert c.witness == {"tau": 3, "leaves": 2,
+                             "alpha_minus_sigma_v_plus_1": 2,
+                             "centers": 0b111000000}
 
     def test_not_applicable_without_strict_alpha_gap(self):
         # K_2 achieves equality but with alpha = sigma_v.
@@ -61,45 +82,77 @@ class TestEqualityClassifier:
     def test_exact_on_15_vertices(self):
         v = classify_equality_theorem1(clique_of_stars(3, 4))
         assert v.status == HOLDS
-        assert v.witness["components"] == [(3, 4)]
+        assert (v.witness["centers"], v.witness["leaves"]) == (0b111, 4)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_every_random_corona_holds_with_equality(self, seed):
+        # alpha = tau * ell, sigma_v = alpha - ell + 1: equality whatever H.
+        rng = random.Random(seed)
+        k = rng.randint(1, 20)
+        ell = rng.randint(2, min(5, 64 // k - 1))
+        density = rng.random()
+        h = from_edges(k, [e for e in itertools.combinations(range(k), 2)
+                           if rng.random() < density])
+        g = corona(h, ell)
+        perm = rng.sample(range(g.n), g.n)
+        g = from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+        v = classify_equality_theorem1(g)
+        assert v.status == HOLDS and v.equality
+        assert v.witness == {"tau": k, "leaves": ell,
+                             "alpha_minus_sigma_v_plus_1": ell,
+                             "centers": sum(1 << perm[c] for c in range(k))}
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_recognizer_equals_isomorphism_reference_on_every_class(self, n):
+        # Both directions: the check applies exactly on the coronas with
+        # ell >= 2, and never reports a violation.
+        coronas = 0
         for g in enumerate_graphs(n, dedup=True):
-            comps = connected_components(g)
-            fits = [clique_of_stars_fit_reference(g, c) for c in comps]
-            assert [_clique_of_stars_shape(g, c) for c in comps] == fits, g
+            shape = _corona_shape(g)
+            fit = corona_fit_reference(g)
+            assert _fit(shape) == fit, g
+            coronas += fit is not None
             v = classify_equality_theorem1(g)
-            if v.status == HOLDS:
-                assert v.witness["components"] == fits
+            assert v.status != VIOLATED, g
+            assert (v.status == HOLDS) == (fit is not None), g
+            if fit is not None:
+                assert (v.witness["tau"], v.witness["leaves"]) == fit
+                assert v.witness["centers"] == shape[0]
+        # The stars K_1,n-1 for n >= 3, plus P_3 + P_3 and K_2 o 2K_1 at 6.
+        assert coronas == (3 if n == 6 else int(n >= 3))
 
     @pytest.mark.parametrize("k, ell", [(k, ell) for k in range(1, 6)
                                         for ell in range(1, 15 // k)])
     def test_recognizer_on_relabeled_blocks_and_near_misses(self, k, ell):
+        # clique_of_stars(k, ell) is the corona K_k o ellK_1.
         g = clique_of_stars(k, ell)
         perm = random.Random(k * 100 + ell).sample(range(g.n), g.n)
         edges = [(perm[u], perm[v]) for u, v in g.edges()]
-        leaves = [(perm[c], perm[k + c * ell]) for c in range(k)]
-        variants = [edges]
-        if k >= 2:  # a leaf moved to another center
-            variants.append([e for e in edges if e != leaves[0]]
-                            + [(leaves[1][0], leaves[0][1])])
-            # a missing clique edge
-            variants.append([e for e in edges
-                             if e != (perm[0], perm[1])])
-        if k >= 2 or ell >= 2:  # an edge between two leaves
-            other = leaves[1][1] if k >= 2 else perm[2]
-            variants.append(edges + [(leaves[0][1], other)])
-        for i, variant in enumerate(variants):
-            h = from_edges(g.n, variant)
-            comps = connected_components(h)
-            fits = [_clique_of_stars_shape(h, c) for c in comps]
-            assert fits == [clique_of_stars_fit_reference(h, c)
-                            for c in comps], i
-            if i == 0:
-                assert fits == [(k, ell)]
-            elif k >= 3:  # smaller near misses can be blocks again
-                assert None in fits, i
+        centers = sum(1 << perm[c] for c in range(k))
+        spokes = [(perm[c], perm[k + c * ell]) for c in range(k)]
+        full = (1 << g.n) - 1
+        variants = {"relabeled": from_edges(g.n, edges)}
+        if k >= 2:
+            variants["moved leaf"] = from_edges(
+                g.n, [e for e in edges if e != spokes[0]]
+                + [(spokes[1][0], spokes[0][1])])
+            # H loses an edge and the graph stays a corona.
+            variants["missing center edge"] = from_edges(
+                g.n, [e for e in edges if e != (perm[0], perm[1])])
+        if k >= 2 or ell >= 2:
+            other = spokes[1][1] if k >= 2 else perm[k + 1]
+            variants["leaf-leaf edge"] = from_edges(
+                g.n, edges + [(spokes[0][1], other)])
+        if k >= 2:
+            variants["center one leaf short"] = induced_subgraph(
+                variants["relabeled"], full & ~(1 << spokes[0][1]))
+        for name, h in variants.items():
+            shape = _corona_shape(h)
+            assert _fit(shape) == corona_fit_reference(h), name
+            if name in ("relabeled", "missing center edge"):
+                assert shape == ((centers, ell) if ell >= 2 else None), name
+            elif ell >= 2:  # with ell = 1 some are coronas (P_4 - leaf = P_3)
+                assert shape is None, name
 
 
 class TestOtherBounds:

@@ -199,6 +199,16 @@ class TestFindingsReplay:
         assert r["witness"] == {"failed": "clique-system",
                                 "stable_set": [1, 2, 3]}
 
+    def test_corona_equality_case_on_9_vertices(self, capsys):
+        code, records, _ = run(capsys, "check", "--checks",
+                               "theorem1,theorem1-equality", "H???XbB")
+        assert code == 0
+        assert [r["status"] for r in records] == ["holds", "holds"]
+        assert records[0]["equality"] and records[1]["equality"]
+        assert records[1]["witness"] == {
+            "tau": 3, "leaves": 2, "alpha_minus_sigma_v_plus_1": 2,
+            "centers": 448}
+
 
 class TestSearch:
     def test_small_scan(self, capsys):

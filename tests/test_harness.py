@@ -5,11 +5,12 @@ import io
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import giwb.harness as harness
-from conftest import brute_force_scan
+from conftest import brute_force_scan, orbits_reference
 from giwb.bounds import (HOLDS, VIOLATED, Verdict, are_isomorphic,
                          catalog_min_edges)
 from giwb.graphs import (GraphFormatError, component_count, from_edges,
@@ -93,6 +94,32 @@ class TestEnumeration:
                 key = (alpha, n - alpha, c)
                 assert (catalog_min_edges(*key, classes.get(key, []))
                         == catalog_min_edges(*key, labeled.get(key, []))), key
+
+
+class TestClassWalk:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_walk_equals_the_reference_walk(self, n):
+        got = list(harness._orbits(n))
+        want = list(orbits_reference(n))
+        assert [mask for mask, _ in got] == [mask for mask, _ in want]
+        for (mask, orbit), (_, ref) in zip(got, want):
+            assert type(mask) is int
+            assert orbit.dtype == ref.dtype and orbit.shape == ref.shape
+            assert np.array_equal(orbit, ref), mask
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_each_mask_is_the_minimum_of_its_orbit(self, n):
+        # Orbit-stabilizer: n! images, each member |Aut| times; the orbits
+        # partition the 2^C(n,2) edge masks.
+        n_perms = math.factorial(n)
+        covered = 0
+        for mask, orbit in harness._orbits(n):
+            assert orbit.shape == (n_perms,)
+            assert mask == orbit.min()
+            members = len(np.unique(orbit))
+            assert members == n_perms // np.count_nonzero(orbit == mask)
+            covered += members
+        assert covered == 1 << math.comb(n, 2)
 
 
 class TestScanConfig:
