@@ -21,8 +21,7 @@ from .graphs import (Graph, GraphFormatError, bridges, complement,
                      neighbor_set, parse_edge_list, parse_graph6, to_graph6)
 from .harness import ScanConfig, ScanReport, enumerate_graphs, scan
 from .hypergraphs import (HyperGraph, check_conjecture2, check_hyper_corollary,
-                          incidence_matrix, is_conformal, parse_hypergraph,
-                          two_section)
+                          is_conformal, two_section)
 from .invariants import (CoreDecomposition, CriticalityProfile, GraphAnalysis,
                          InvariantReport, core_decomposition,
                          criticality_profile, has_perfect_matching,

@@ -48,6 +48,9 @@ class Graph:
     adj: tuple[int, ...]
 
     def __post_init__(self):
+        # Equality and hashing compare the field, so rows given as a list
+        # are stored as a tuple, and a caller's later edits cannot reach it.
+        object.__setattr__(self, "adj", tuple(self.adj))
         if not (0 <= self.n <= MAX_VERTICES):
             raise ValueError(f"vertex count {self.n} outside 0..{MAX_VERTICES}")
         if len(self.adj) != self.n:
@@ -93,10 +96,18 @@ class Graph:
         adj = list(self.adj)
         adj[u] &= ~(1 << v)
         adj[v] &= ~(1 << u)
-        return Graph(self.n, tuple(adj))
+        return _graph(self.n, adj)
 
-    def remove_vertex(self, v: int) -> "Graph":
-        return induced_subgraph(self, self.full_mask & ~(1 << v))
+
+def _graph(n: int, adj) -> Graph:
+    """The Graph with rows ``adj`` that are valid by construction (within
+    ``n``, loop free, symmetric), built without the checks of ``Graph(...)``.
+    Every graph the library derives goes through here; ``Graph(...)``
+    validates a caller's rows."""
+    g = object.__new__(Graph)
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "adj", tuple(adj))
+    return g
 
 
 def from_edges(n: int, edges) -> Graph:
@@ -112,7 +123,7 @@ def from_edges(n: int, edges) -> Graph:
             raise ValueError(f"self-loop at vertex {u}")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    return Graph(n, tuple(adj))
+    return _graph(n, adj)
 
 
 # graph6 interchange (one graph per line, printable chars 63..126)
@@ -168,7 +179,7 @@ def parse_graph6(line: str) -> Graph:
             i = j - 1 - b
             adj[i] |= 1 << j
             adj[j] |= 1 << i
-    return Graph(n, tuple(adj))
+    return _graph(n, adj)
 
 
 def to_graph6(g: Graph) -> str:
@@ -195,14 +206,17 @@ def is_significant(line: str) -> bool:
     return bool(line) and not line.startswith("#")
 
 
-def parse_counted(text: str, what: str) -> tuple[int, list[tuple[int, str]]]:
-    """Front end of the ``n <count>`` formats (edge lists, hypergraphs):
-    the vertex count and the significant lines after the header, stripped
-    and numbered as in ``text``."""
+def parse_edge_list(text: str) -> Graph:
+    """Parse the human-authoring format: ``n <count>`` then ``u v`` lines,
+    skipping blank and ``#`` lines; error line numbers count every line.
+
+    Duplicate edge lines collapse; self-loops and out-of-range vertices are
+    rejected.
+    """
     lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), 1)
              if is_significant(ln)]
     if not lines:
-        raise GraphFormatError(f"empty {what} input")
+        raise GraphFormatError("empty edge-list input")
     no, first = lines[0]
     head = first.split()
     if len(head) != 2 or head[0] != "n":
@@ -213,18 +227,8 @@ def parse_counted(text: str, what: str) -> tuple[int, list[tuple[int, str]]]:
         raise GraphFormatError(f"line {no}: unparsable vertex count {head[1]!r}") from None
     if not 0 <= n <= MAX_VERTICES:
         raise GraphFormatError(f"line {no}: vertex count {n} outside 0..{MAX_VERTICES}")
-    return n, lines[1:]
-
-
-def parse_edge_list(text: str) -> Graph:
-    """Parse the human-authoring format: ``n <count>`` then ``u v`` lines.
-
-    Duplicate edge lines collapse; self-loops and out-of-range vertices are
-    rejected.
-    """
-    n, lines = parse_counted(text, "edge-list")
     adj = [0] * n
-    for ln_no, ln in lines:
+    for ln_no, ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
             raise GraphFormatError(f"line {ln_no}: expected 'u v', got {ln!r}")
@@ -238,7 +242,7 @@ def parse_edge_list(text: str) -> Graph:
             raise GraphFormatError(f"line {ln_no}: vertex out of range in {ln!r}")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    return Graph(n, tuple(adj))
+    return _graph(n, adj)
 
 
 # Elementary structural operations
@@ -246,7 +250,7 @@ def parse_edge_list(text: str) -> Graph:
 def complement(g: Graph) -> Graph:
     """Same vertices, edges exactly the nonadjacent distinct pairs."""
     full = g.full_mask
-    return Graph(g.n, tuple((full & ~g.adj[i]) & ~(1 << i) for i in range(g.n)))
+    return _graph(g.n, [(full & ~g.adj[i]) & ~(1 << i) for i in range(g.n)])
 
 
 def induced_subgraph(g: Graph, subset: VertexMask) -> Graph:
@@ -259,7 +263,7 @@ def induced_subgraph(g: Graph, subset: VertexMask) -> Graph:
     for v in keep:
         for u in bits(g.adj[v] & subset):
             adj[index[v]] |= 1 << index[u]
-    return Graph(len(keep), tuple(adj))
+    return _graph(len(keep), adj)
 
 
 def neighbor_set(g: Graph, subset: VertexMask) -> VertexMask:

@@ -33,8 +33,8 @@ from .bounds import (HOLDS, NOT_APPLICABLE, Verdict, VIOLATED, check_berge,
                      check_theorem1, classify_equality_theorem1)
 from .conjectures import (check_conjecture1_bound, check_conjecture1_full,
                           check_conjecture3, check_omega_v_substitution)
-from .graphs import (Graph, GraphFormatError, component_count, is_significant,
-                     parse_edge_list, parse_graph6, to_graph6)
+from .graphs import (Graph, GraphFormatError, _graph, component_count,
+                     is_significant, parse_edge_list, parse_graph6, to_graph6)
 from .hypergraphs import check_hyper_corollary
 from .invariants import GraphAnalysis
 
@@ -93,13 +93,7 @@ def _graph_from_mask(n: int, mask: int, edge_list) -> Graph:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
         mask &= mask - 1
-    # Valid by construction.  Graph's validating constructor would add about
-    # 9 us to the 5 us this takes for a 7-vertex graph (Python 3.11), about
-    # 19 s on each walk over all 2^21 labeled 7-vertex graphs.
-    g = object.__new__(Graph)
-    object.__setattr__(g, "n", n)
-    object.__setattr__(g, "adj", tuple(adj))
-    return g
+    return _graph(n, adj)
 
 
 # Masks per read of the ``seen`` marks in ``_orbits``: numpy skips the
@@ -185,7 +179,7 @@ def graphs_from_file(source: str) -> Iterator[Graph]:
                 break
         else:
             raise GraphFormatError("no graphs in input")
-        if head[-1].split()[0] == "n":  # the header parse_counted reads
+        if head[-1].split()[0] == "n":  # the header parse_edge_list reads
             yield parse_edge_list("".join(head) + fh.read())
             return
         for line_no, line in enumerate(itertools.chain(head, fh), 1):

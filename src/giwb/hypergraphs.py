@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .bounds import NOT_APPLICABLE, Verdict, _bound_verdict
-from .graphs import (Graph, GraphFormatError, MAX_VERTICES, bits, mask_of,
-                     parse_counted)
+from .graphs import Graph, MAX_VERTICES, _graph, bits, mask_of
 from .invariants import GraphAnalysis, maximal_cliques, maximal_stable_sets
 
 
@@ -29,6 +28,8 @@ class HyperGraph:
     edges: tuple[int, ...]
 
     def __post_init__(self):
+        # Stored as a tuple, as Graph stores its rows.
+        object.__setattr__(self, "edges", tuple(self.edges))
         if not 0 <= self.n <= MAX_VERTICES:
             raise ValueError(f"vertex count {self.n} outside 0..{MAX_VERTICES}")
         full = (1 << self.n) - 1
@@ -63,39 +64,18 @@ class HyperGraph:
                      if not any(e != f and e & f == e for f in uniq))
 
 
-def parse_hypergraph(text: str) -> HyperGraph:
-    """Parse the text format: first line ``n <count>``, then one edge per
-    line as space-separated vertex indices."""
-    n, lines = parse_counted(text, "hypergraph")
-    edges = []
-    for ln_no, ln in lines:
-        try:
-            vs = [int(tok) for tok in ln.split()]
-        except ValueError:
-            raise GraphFormatError(f"line {ln_no}: unparsable token in {ln!r}") from None
-        if any(not 0 <= v < n for v in vs):
-            raise GraphFormatError(f"line {ln_no}: vertex out of range in {ln!r}")
-        edges.append(mask_of(vs))
-    return HyperGraph(n, tuple(edges))
-
-
-def incidence_matrix(h: HyperGraph) -> list[list[int]]:
-    """0/1 matrix, rows = edges, columns = vertices."""
-    return [[e >> v & 1 for v in range(h.n)] for e in h.edges]
-
-
 def two_section(h: HyperGraph) -> Graph:
     """Graph on the same vertices joining each pair co-occurring in an edge."""
     adj = [0] * h.n
     for e in h.edges:
         for v in bits(e):
             adj[v] |= e & ~(1 << v)
-    return Graph(h.n, tuple(adj))
+    return _graph(h.n, adj)
 
 
 def stable_set_hypergraph(g: Graph) -> HyperGraph:
     """The hypergraph whose edges are the maximal stable sets of ``g``."""
-    return HyperGraph(g.n, tuple(maximal_stable_sets(g)))
+    return HyperGraph(g.n, maximal_stable_sets(g))
 
 
 def is_conformal(h: HyperGraph) -> bool:

@@ -11,6 +11,8 @@ from giwb.graphs import (Graph, GraphFormatError, bits, bridges, complement,
                          component_count, connected_components, from_edges,
                          induced_subgraph, mask_of, neighbor_set,
                          parse_edge_list, parse_graph6, to_graph6)
+from giwb.harness import _edge_list, _graph_from_mask
+from giwb.hypergraphs import HyperGraph, two_section
 
 
 def random_graph(n: int, edge_bits: int) -> Graph:
@@ -44,6 +46,19 @@ class TestConstruction:
     def test_rejects_bits_beyond_n(self):
         with pytest.raises(ValueError, match="beyond n"):
             Graph(2, (0b100, 0b000))
+
+    def test_rows_given_as_a_list_are_stored_as_a_tuple(self):
+        rows = [2, 5, 2]
+        g = Graph(3, rows)
+        assert g == Graph(3, (2, 5, 2)) and type(g.adj) is tuple
+        assert hash(g) == hash(Graph(3, (2, 5, 2)))
+        rows[0] = 0
+        assert g.adj == (2, 5, 2)
+        with pytest.raises(ValueError, match="asymmetric"):
+            Graph(2, [0b10, 0b00])
+        h = HyperGraph(3, [0b011, 0b110])
+        assert h == HyperGraph(3, (0b011, 0b110)) and type(h.edges) is tuple
+        assert hash(h) == hash(HyperGraph(3, (0b011, 0b110)))
 
     def test_rejects_oversized_order(self):
         with pytest.raises(ValueError, match="outside"):
@@ -83,7 +98,63 @@ class TestConstruction:
         assert g.remove_edge(0, 1).edge_count == 2
         with pytest.raises(ValueError, match="not an edge"):
             path(3).remove_edge(0, 2)
-        assert g.remove_vertex(0).edge_count == 1
+
+
+def _derived(g: Graph, subset: int) -> list[Graph]:
+    """What each builder derives from ``g``."""
+    text = "".join([f"n {g.n}\n"] + [f"{u} {v}\n" for u, v in g.edges()])
+    out = [parse_graph6(to_graph6(g)), parse_edge_list(text),
+           from_edges(g.n, g.edges()), complement(g),
+           induced_subgraph(g, subset)]
+    edge = next(g.edges(), None)
+    if edge:
+        out.append(g.remove_edge(*edge))
+    return out
+
+
+class TestTrustedConstruction:
+    """The builders skip Graph's checks, yet return graphs it accepts."""
+
+    @staticmethod
+    def build_unchecked(build):
+        with pytest.MonkeyPatch.context() as mp:
+            def refuse(self):
+                raise AssertionError("derived graph re-validated")
+            mp.setattr(Graph, "__post_init__", refuse)
+            return build()
+
+    @staticmethod
+    def assert_valid(graphs):
+        for h in graphs:
+            assert type(h.adj) is tuple and Graph(h.n, h.adj) == h
+
+    @given(graphs, st.integers(0, 2**12 - 1))
+    def test_builders(self, g, subset):
+        subset &= g.full_mask
+        self.assert_valid(self.build_unchecked(lambda: _derived(g, subset)))
+
+    @pytest.mark.parametrize("n", [0, 63, 64])
+    def test_builders_at_the_extreme_orders(self, n):
+        rng = random.Random(n)
+        g = random_graph(n, rng.getrandbits(n * (n - 1) // 2))
+        subset = rng.getrandbits(n)
+        derived = self.build_unchecked(lambda: _derived(g, subset))
+        self.assert_valid(derived)
+        assert derived[0] == g
+
+    @given(st.integers(0, 12).flatmap(lambda n: st.builds(
+        HyperGraph, st.just(n),
+        st.lists(st.integers(0, (1 << n) - 1), max_size=6))))
+    def test_two_section(self, h):
+        self.assert_valid([self.build_unchecked(lambda: two_section(h))])
+
+    @given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(0, (1 << n * (n - 1) // 2) - 1))))
+    def test_graph_from_mask(self, n_mask):
+        n, mask = n_mask
+        edge_list = _edge_list(n)
+        self.assert_valid(
+            [self.build_unchecked(lambda: _graph_from_mask(n, mask, edge_list))])
 
 
 class TestGraph6:

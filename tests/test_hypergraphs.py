@@ -1,5 +1,5 @@
-"""Hypergraph machinery: parsing, 2-section, conformality, and the derived
-bound checks."""
+"""Hypergraph machinery: construction, 2-section, conformality, and the
+derived bound checks."""
 
 import functools
 import itertools
@@ -12,11 +12,10 @@ from hypothesis import given, settings
 from conftest import check_hyper_corollary_reference, dedup_classes
 from giwb.bounds import HOLDS, NOT_APPLICABLE, complete as k_n, cycle, path
 from giwb import hypergraphs, invariants
-from giwb.graphs import Graph, GraphFormatError, parse_graph6
+from giwb.graphs import Graph, parse_graph6
 from giwb.hypergraphs import (HyperGraph, check_conjecture2,
-                              check_hyper_corollary, incidence_matrix,
-                              is_conformal, is_conformal_oracle,
-                              parse_hypergraph, stable_set_hypergraph,
+                              check_hyper_corollary, is_conformal,
+                              is_conformal_oracle, stable_set_hypergraph,
                               two_section)
 from giwb.invariants import GraphAnalysis
 from test_graphs import graphs_up_to
@@ -31,24 +30,6 @@ def all_hypergraphs(n: int):
 
 
 class TestBasics:
-    def test_parse_and_incidence(self):
-        h = parse_hypergraph("n 4\n0 1 2\n2 3\n")
-        assert h.n == 4 and h.edges == (0b0111, 0b1100)
-        assert incidence_matrix(h) == [[1, 1, 1, 0], [0, 0, 1, 1]]
-        assert h.r_max == 3 and h.is_uniform() is None
-
-    @pytest.mark.parametrize("text, message", [
-        ("", "empty"),
-        ("3", "expected 'n <count>'"),
-        ("n x", "unparsable vertex count"),
-        ("n 3\n0 z", "line 2: unparsable"),
-        ("n 3\n0 5", "line 2: vertex out of range"),
-        ("n 99", "outside"),
-    ])
-    def test_malformed_inputs(self, text, message):
-        with pytest.raises(GraphFormatError, match=message):
-            parse_hypergraph(text)
-
     def test_edge_validation(self):
         with pytest.raises(ValueError, match="beyond n"):
             HyperGraph(2, (0b100,))
@@ -64,6 +45,7 @@ class TestBasics:
 
     def test_two_section(self):
         h = HyperGraph(4, (0b0111, 0b1100))
+        assert h.r_max == 3 and h.is_uniform() is None
         g = two_section(h)
         assert sorted(g.edges()) == [(0, 1), (0, 2), (1, 2), (2, 3)]
 
