@@ -314,8 +314,12 @@ def catalog_min_edges(alpha: int, tau: int, components: int,
     witness) among graphs with the requested (alpha, tau, component count).
 
     The caller is responsible for stream coverage; an empty match is a
-    result, not an error.
+    result, not an error.  A negative alpha, tau or component count is an
+    error, raised before the stream is read.
     """
+    for name, value in (("alpha", alpha), ("tau", tau), ("c", components)):
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, not {value}")
     best: Optional[int] = None
     witness: Optional[str] = None
     for g in stream:

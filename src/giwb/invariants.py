@@ -2,15 +2,16 @@
 per-edge covering invariants, core decomposition, and criticality predicates.
 
 Everything here is exact combinatorial search.  ``stability_number`` is a
-bitmask branch-and-bound.  The derived invariants ask for α of vertex
-subsets through one ``GraphAnalysis`` per graph: up to ``_TABLE_CAP`` = 8
-vertices it builds a table of α over all 2^n subsets, so every query is a
-lookup; above the cap each distinct subset is searched once by
-branch-and-bound and memoized.  The table costs 2^n steps whatever is
-asked, so it pays only on small graphs: the two are even at n = 9, and
-branch-and-bound wins from n = 10 on (see ``_TABLE_CAP``).  Every scan
-(n <= 7) stays on the table.  The cores and the critical edges read the
-same queries: no vertex or edge is deleted.
+colour-ordered bitmask branch-and-bound: one greedy clique cover per search
+node bounds and orders all of its branches.  The derived invariants ask for
+α of vertex subsets through one ``GraphAnalysis`` per graph: up to
+``_TABLE_CAP`` = 8 vertices it builds a table of α over all 2^n subsets, so
+every query is a lookup; above the cap each distinct subset is searched once
+and memoized.  The table costs 2^n steps whatever is asked, so it pays only
+on small graphs: the two are about even at n = 8, and the search wins from
+n = 9 on (see ``_TABLE_CAP``).  Every scan (n <= 7) stays on the table.  The
+cores and the critical edges read the same queries: no vertex or edge is
+deleted.
 """
 
 from __future__ import annotations
@@ -24,53 +25,64 @@ from .graphs import (Graph, VertexMask, bridges, complement, component_count,
 
 # Largest n for which the 2^n subset table is built; beyond it each distinct
 # subset is searched once by branch-and-bound.  All 11 checks on random
-# graphs (2-vCPU Xeon, Python 3.11) took, per graph, table vs
-# branch-and-bound: 0.26 vs 0.35 ms at n = 8, 0.46 vs 0.48 ms at n = 9 and
-# 0.75 vs 0.53 ms at n = 10; ``check --all`` on 16-vertex graphs took 25 ms
-# vs 0.9 ms.
+# graphs with a uniform edge count (2-vCPU Xeon, Python 3.11, two runs) took,
+# per graph, table vs search: 0.14-0.20 vs 0.17-0.23 ms at n = 7,
+# 0.22-0.25 vs 0.21-0.23 ms at n = 8, 0.36-0.37 vs 0.26-0.27 ms at n = 9
+# and 0.52-0.59 vs 0.25-0.30 ms at n = 10; ``check --all`` on 16-vertex
+# graphs took 29-34 ms vs 0.9-1.2 ms.
 _TABLE_CAP = 8
 
 
 def stability_number(g: Graph, subset: Optional[VertexMask] = None) -> int:
     """Maximum size of a stable set of ``g`` (restricted to ``subset``).
 
-    Branch-and-bound over bit rows: branch on the lowest-index available
-    vertex, prune with a greedy clique-cover upper bound.  The pruning is a
-    pure performance choice; correctness is anchored to the subset
-    enumeration oracle in the test suite.
+    Colour-ordered branch-and-bound (Tomita & Seki, DMTCS 2003, run on the
+    complement): each node covers its candidates greedily by cliques of
+    ``g``, lowest index first.  A stable set meets a clique at most once,
+    so a candidate in the k-th clique can grow the current set by at most
+    k.  The node branches on its candidates in reverse cover order, stops
+    once the current size plus that k cannot beat the best found, and
+    drops each tried vertex from the candidates.  One cover per node thus
+    both bounds and orders every branch.  The pruning is a pure performance
+    choice; correctness is anchored to the subset enumeration oracle and
+    to networkx in the test suite.
     """
     adj = g.adj
-    avail0 = g.full_mask if subset is None else subset
-    if avail0 & ~g.full_mask:
+    cand0 = g.full_mask if subset is None else subset
+    if cand0 & ~g.full_mask:
         raise ValueError("subset has bits beyond n")
     best = 0
 
-    def cover_bound(avail: int) -> int:
-        # A clique cover of the available vertices bounds any stable set.
-        cnt = 0
-        rest = avail
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            cand = rest & adj[v]
-            while cand:
-                u = (cand & -cand).bit_length() - 1
-                rest &= ~(1 << u)
-                cand &= adj[u]
-            cnt += 1
-        return cnt
-
-    def bb(avail: int, size: int) -> None:
+    def expand(cand: int, size: int) -> None:
         nonlocal best
-        if size > best:
-            best = size
-        if not avail or size + cover_bound(avail) <= best:
-            return
-        v = (avail & -avail).bit_length() - 1
-        bb(avail & ~(adj[v] | (1 << v)), size + 1)
-        bb(avail & (avail - 1), size)
+        cliques = []
+        rest = cand
+        while rest:
+            clique = 0
+            grow = rest
+            while grow:
+                b = grow & -grow
+                clique |= b
+                grow &= adj[b.bit_length() - 1]
+            rest &= ~clique
+            cliques.append(clique)
+        for k in range(len(cliques), 0, -1):
+            clique = cliques[k - 1]
+            while clique:
+                if size + k <= best:
+                    return
+                v = clique.bit_length() - 1
+                clique ^= 1 << v
+                cand ^= 1 << v
+                # The rest of this clique is adjacent to v, and every later
+                # clique's vertices are already gone from cand.
+                sub = cand & ~adj[v]
+                if sub:
+                    expand(sub, size + 1)
+                elif size >= best:
+                    best = size + 1
 
-    bb(avail0, 0)
+    expand(cand0, 0)
     return best
 
 

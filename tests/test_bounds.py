@@ -241,3 +241,17 @@ class TestCatalog:
         res = catalog_min_edges(1, 4, 1, [cycle(5)])
         assert res.empty and res.min_edges is None
         assert res.witness_graph6 is None
+
+    @pytest.mark.parametrize("alpha, tau, c, name", [
+        (2, 2, -1, "c"), (-1, 3, 1, "alpha"), (2, -1, 1, "tau")])
+    def test_negative_parameters_are_rejected_before_the_stream(
+            self, alpha, tau, c, name):
+        read = []
+
+        def stream():
+            read.append(True)
+            yield cycle(5)
+        message = f"^{name} must be >= 0, not {min(alpha, tau, c)}$"
+        with pytest.raises(ValueError, match=message):
+            catalog_min_edges(alpha, tau, c, stream())
+        assert not read

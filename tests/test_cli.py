@@ -2,8 +2,11 @@
 
 import io
 import json
+import os
 import pathlib
 import shlex
+import subprocess
+import sys
 import time
 
 import pytest
@@ -284,6 +287,22 @@ class TestGenerateAndCatalog:
         assert code == 2 and not records
         assert "giwb: error: alpha + tau must be 1..7" in captured.err
 
+    @pytest.mark.parametrize("counts, named", [
+        (("--alpha", "2", "--tau", "2", "--c", "-1"), "c"),
+        (("--alpha", "-1", "--tau", "3", "--c", "1"), "alpha")])
+    @pytest.mark.parametrize("from_file", [False, True])
+    def test_catalog_negative_counts_exit_2(self, capsys, tmp_path, counts,
+                                            named, from_file):
+        source = ()
+        if from_file:
+            path = tmp_path / "in.g6"
+            path.write_text("Dhc\n")
+            source = ("--input", str(path))
+        code, records, captured = run(capsys, "catalog-min-edges", *counts,
+                                      *source)
+        assert code == 2 and not records
+        assert f"giwb: error: {named} must be >= 0, not -1" in captured.err
+
     def test_catalog_has_no_order_option(self, capsys):
         # tau = n - alpha: only n = alpha + tau can match, and that is the
         # order enumerated.
@@ -379,22 +398,87 @@ class TestErrors:
         assert records[0]["version"]
 
 
+def fresh_process(argv: tuple[str, ...]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``giwb argv`` as a new process's
+    first call, with help wrapped at 80 columns."""
+    env = dict(os.environ, COLUMNS="80", PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "giwb.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def without_elapsed(out: str) -> str:
+    """Output with each record's wall-clock ``elapsed_seconds`` dropped."""
+    lines = []
+    for line in out.splitlines():
+        if line.startswith("{"):
+            record = json.loads(line)
+            record.get("runtime", {}).pop("elapsed_seconds", None)
+            line = json.dumps(record, sort_keys=True)
+        lines.append(line)
+    return "\n".join(lines)
+
+
+class TestParserReuse:
+    ARGVS = [("check", "Dhc"),  # neither --checks nor --all: usage error
+             ("--help",),
+             ("check", "--checks", "conj1", "Dhc"),
+             ("check", "--all", "Dhc"),
+             ("search", "--n", "3", "--checks", "theorem1")]
+
+    def test_one_parser_serves_every_call_without_state(self, capsys,
+                                                         monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        cli.build_parser.cache_clear()
+        seen = []
+        for _ in range(3):
+            for argv in self.ARGVS:
+                code = cli.main(list(argv))
+                captured = capsys.readouterr()
+                seen.append((argv, code, captured.out, captured.err))
+        assert cli.build_parser.cache_info().misses == 1
+        fresh = {argv: fresh_process(argv) for argv in self.ARGVS}
+        assert [fresh[argv][0] for argv in self.ARGVS] == [2, 0, 0, 0, 0]
+        for argv, code, out, err in seen:
+            want_code, want_out, want_err = fresh[argv]
+            assert (code, without_elapsed(out), err) == (
+                want_code, without_elapsed(want_out), want_err), argv
+
+
 def workflow_smoke_lines() -> list[str]:
     """The ``giwb`` lines of the CI workflow's console-script smoke step."""
     return [line.strip() for line in WORKFLOW.read_text(encoding="utf-8")
             .splitlines() if line.strip().startswith("giwb ")]
 
 
+def run_line(capsys, monkeypatch, line: str) -> str:
+    """Run a shell line of ``giwb`` commands in process, asserting that each
+    exits 0; a `|` feeds the left command's stdout to the right one's
+    stdin.  Returns the last command's stdout."""
+    out = ""
+    for command in line.split("|"):
+        argv = shlex.split(command, comments=True)
+        assert argv[0] == "giwb"
+        monkeypatch.setattr("sys.stdin", io.StringIO(out))
+        code = cli.main(argv[1:])
+        captured = capsys.readouterr()
+        assert code == 0, (command, captured.err)
+        out = captured.out
+    return out
+
+
 class TestWorkflowSmoke:
     def test_every_subcommand_is_smoked(self):
-        smoked = {shlex.split(line)[1] for line in workflow_smoke_lines()}
+        commands = [shlex.split(command) for line in workflow_smoke_lines()
+                    for command in line.split("|")]
+        smoked = {argv[1] for argv in commands if not argv[1].startswith("-")}
         assert smoked == {"invariants", "decompose", "gamma", "check",
                           "search", "generate", "catalog-min-edges"}
 
     @pytest.mark.parametrize("line", workflow_smoke_lines())
-    def test_line_exits_0(self, capsys, line):
-        assert cli.main(shlex.split(line)[1:]) == 0, capsys.readouterr().err
-        assert capsys.readouterr().out
+    def test_line_exits_0(self, capsys, monkeypatch, line):
+        assert run_line(capsys, monkeypatch, line)
 
 
 class TestReadme:
@@ -403,14 +487,4 @@ class TestReadme:
 
     @pytest.mark.parametrize("line", readme_cli_lines())
     def test_example_runs(self, capsys, monkeypatch, line):
-        # A `|` feeds the left command's stdout to the right one's stdin.
-        out = ""
-        for command in line.split("|"):
-            argv = shlex.split(command, comments=True)
-            assert argv[0] == "giwb"
-            monkeypatch.setattr("sys.stdin", io.StringIO(out))
-            code = cli.main(argv[1:])
-            captured = capsys.readouterr()
-            assert code == 0, (command, captured.err)
-            out = captured.out
-        assert out
+        assert run_line(capsys, monkeypatch, line)

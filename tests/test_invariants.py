@@ -1,6 +1,7 @@
 """Invariant computations against enumeration oracles and frozen values."""
 
 import gc
+import random
 import weakref
 
 import pytest
@@ -10,8 +11,8 @@ from conftest import (alpha_oracle, all_labeled_graphs, cores_by_deletion,
                       cores_oracle, dedup_classes, edgeless, is_stable,
                       maximum_stable_sets_oracle, perfect_matching_oracle)
 from giwb import invariants
-from giwb.bounds import complete, cycle, path
-from giwb.graphs import Graph, bits, complement, from_edges
+from giwb.bounds import complete, cycle, path, star
+from giwb.graphs import Graph, bits, complement, from_edges, to_graph6
 from giwb.invariants import (_TABLE_CAP, GraphAnalysis, core_decomposition,
                              criticality_profile, has_perfect_matching,
                              invariant_suite, max_clique_containing_edge,
@@ -45,6 +46,39 @@ class TestStabilityNumber:
 
     def test_empty_graph(self):
         assert stability_number(Graph(0, ())) == 0
+
+    def test_matches_networkx_above_the_hypothesis_orders(self):
+        # Hypothesis reaches n = 12 and the memo tests n = 14; networkx's
+        # maximum clique of the complement checks n = 17-64 independently.
+        import networkx as nx
+
+        def nx_alpha(g, subset):
+            vs = list(bits(subset))
+            co = nx.Graph()
+            co.add_nodes_from(vs)
+            co.add_edges_from((u, v) for i, u in enumerate(vs)
+                              for v in vs[i + 1:] if not g.has_edge(u, v))
+            return nx.max_weight_clique(co, weight=None)[1]
+
+        def pairs(n):
+            return [(u, v) for u in range(n) for v in range(u + 1, n)]
+
+        rng = random.Random(2003)
+        cases = []
+        for n in range(17, 41):
+            for density in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9):
+                edges = rng.sample(pairs(n), round(density * len(pairs(n))))
+                g = from_edges(n, edges)
+                cases.append((g, g.full_mask))
+                cases += [(g, rng.getrandbits(n)) for _ in range(2)]
+        block = [k for k in range(1, 11) for _ in range(k)]
+        cliques = from_edges(len(block), [  # K_1 + K_2 + ... + K_10
+            (u, v) for u, v in pairs(len(block)) if block[u] == block[v]])
+        for g in (edgeless(64), complete(64), cycle(63), star(63), cliques):
+            cases += [(g, g.full_mask), (g, rng.getrandbits(g.n))]
+        for g, subset in cases:
+            assert stability_number(g, subset) == nx_alpha(g, subset), (
+                to_graph6(g), subset)
 
 
 class TestAnalysisTable:
