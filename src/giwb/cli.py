@@ -21,7 +21,7 @@ import json
 import os
 import sys
 import traceback
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from . import __version__
 from .bounds import (FAMILY_KINDS, CatalogResult, FamilySpec, VIOLATED,
@@ -77,6 +77,8 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_gamma(args) -> int:
     if args.properties:
+        if args.a is not None or args.t is not None or args.oracle:
+            raise ValueError("--properties excludes --a, --t and --oracle")
         a_max, t_max = args.properties
         rep = gamma_property_suite(a_max, t_max)
         _emit({"gamma_properties": dataclasses.asdict(rep),
@@ -130,19 +132,25 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+def _catalog_classes(n: int) -> Iterator[Graph]:
+    """One graph per class on ``n`` = alpha + tau vertices.
+
+    tau = n - alpha, so only graphs on alpha + tau vertices can match.
+    alpha, tau and c are class invariants, and each class's canonical
+    representative is the smallest mask of its orbit, streamed in ascending
+    order: the first class reaching the minimum holds the first labeled
+    graph reaching it, so min and witness are unchanged.  The order is
+    checked when the stream is first read, so ``catalog_min_edges`` names a
+    negative alpha, tau or c first.
+    """
+    if not 1 <= n <= ENUM_CAP:
+        raise ValueError(f"alpha + tau must be 1..{ENUM_CAP}, not {n}")
+    yield from enumerate_graphs(n, dedup=True)
+
+
 def _cmd_catalog(args) -> int:
-    if args.input:
-        stream = graphs_from_file(args.input)
-    else:
-        # tau = n - alpha, so only graphs on alpha + tau vertices can match.
-        # alpha, tau and c are class invariants, and each class's canonical
-        # representative is the smallest mask of its orbit, streamed in
-        # ascending order: the first class reaching the minimum holds the
-        # first labeled graph reaching it, so min and witness are unchanged.
-        n = args.alpha + args.tau
-        if not 1 <= n <= ENUM_CAP:
-            raise ValueError(f"alpha + tau must be 1..{ENUM_CAP}, not {n}")
-        stream = enumerate_graphs(n, dedup=True)
+    stream = (graphs_from_file(args.input) if args.input
+              else _catalog_classes(args.alpha + args.tau))
     result: CatalogResult = catalog_min_edges(args.alpha, args.tau, args.c, stream)
     _emit({"catalog": dataclasses.asdict(result)})
     return 0

@@ -40,30 +40,6 @@ class CliqueSystem:
         return True
 
 
-def _cliques_through(g: Graph, v: int, allowed: VertexMask, order: int) -> list[int]:
-    """All cliques of the given order containing ``v`` inside ``allowed``,
-    sorted by bit pattern.
-
-    Grows each clique by its lowest-index candidate and narrows the
-    candidates to that vertex's neighbours, so every clique is built once.
-    """
-    adj = g.adj
-    out = []
-
-    def grow(clique: int, cand: int, need: int) -> None:
-        if not need:
-            out.append(clique)
-            return
-        while cand.bit_count() >= need:
-            u = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            grow(clique | 1 << u, cand & adj[u], need - 1)
-
-    grow(1 << v, adj[v] & allowed, order - 1)
-    out.sort()
-    return out
-
-
 def clique_system_search(g: Graph, stable: VertexMask, order: int,
                          alpha: Optional[int] = None) -> Optional[CliqueSystem]:
     """Exact backtracking search for a disjoint clique system: one clique of
@@ -71,10 +47,15 @@ def clique_system_search(g: Graph, stable: VertexMask, order: int,
     pairwise disjoint and meeting ``stable`` only in that vertex.
 
     ``stable`` must be stable with alpha(g) vertices; pass ``alpha`` when it
-    is known, else it is computed.  Candidates per vertex are enumerated
-    once and tried in bit-pattern order; stable-set vertices are processed
-    in index order, so the witness is deterministic.  Returns None only
-    after exhausting the space.
+    is known, else it is computed.  One search takes the stable vertices in
+    index order and grows each one's clique from its neighbours not yet
+    used: it adds the lowest-index candidate, narrows the candidates to that
+    vertex's neighbours, and gives up once fewer candidates remain than the
+    clique still needs.  No clique list is built per vertex: a completed
+    clique passes the search on to the next stable vertex, and a failure
+    there backtracks into the clique growth.  Cliques are tried in growth
+    order (lexicographic in their sorted vertices), so the system found is
+    deterministic.  Returns None only after exhausting the space.
     """
     if order < 1:
         raise ValueError("clique order must be >= 1")
@@ -83,27 +64,32 @@ def clique_system_search(g: Graph, stable: VertexMask, order: int,
     if (stable & ~g.full_mask or stable.bit_count() != alpha
             or any(g.adj[v] & stable for v in bits(stable))):
         raise ValueError("the designated set is not a maximum stable set")
+    adj = g.adj
     members = bits(stable)
-    candidates = []
-    for v in members:
-        allowed = (g.full_mask & ~stable) | (1 << v)
-        candidates.append(_cliques_through(g, v, allowed, order))
-
     chosen: list[int] = []
 
-    def extend(i: int, used: int) -> bool:
+    def place(i: int, used: int) -> bool:
         if i == len(members):
             return True
-        for part in candidates[i]:
-            if part & used:
-                continue
-            chosen.append(part)
-            if extend(i + 1, used | part):
+        v = members[i]
+        # stable is stable, so the clique through v meets it only in v.
+        return grow(i, 1 << v, adj[v] & ~used, order - 1, used)
+
+    def grow(i: int, clique: int, cand: int, need: int, used: int) -> bool:
+        if not need:
+            chosen.append(clique)
+            if place(i + 1, used | clique):
                 return True
             chosen.pop()
+            return False
+        while cand.bit_count() >= need:
+            u = (cand & -cand).bit_length() - 1
+            cand &= cand - 1
+            if grow(i, clique | 1 << u, cand & adj[u], need - 1, used):
+                return True
         return False
 
-    if extend(0, 0):
+    if place(0, 0):
         return CliqueSystem(tuple(chosen))
     return None
 

@@ -146,8 +146,7 @@ def _labeled_count(n: int, connected_only: bool) -> int:
     return conn[n]
 
 
-def enumerate_graphs(n: int, connected_only: bool = False,
-                     dedup: bool = False) -> Iterator[Graph]:
+def enumerate_graphs(n: int, dedup: bool = False) -> Iterator[Graph]:
     """Stream all graphs on ``n`` vertices: every labeled edge mask in
     ascending order, or one canonical representative per isomorphism class
     with ``dedup``."""
@@ -157,10 +156,7 @@ def enumerate_graphs(n: int, connected_only: bool = False,
     masks = ((mask for mask, _ in _orbits(n)) if dedup
              else range(1 << len(edge_list)))
     for mask in masks:
-        g = _graph_from_mask(n, mask, edge_list)
-        if connected_only and component_count(g) != 1:
-            continue
-        yield g
+        yield _graph_from_mask(n, mask, edge_list)
 
 
 def graphs_from_file(source: str) -> Iterator[Graph]:

@@ -22,7 +22,7 @@ from .invariants import GraphAnalysis, maximal_cliques, maximal_stable_sets
 
 @dataclass(frozen=True)
 class HyperGraph:
-    """Vertex count plus a list of edge bitmasks (duplicates allowed)."""
+    """Vertex count plus a list of edge bitmasks (duplicates kept)."""
 
     n: int
     edges: tuple[int, ...]

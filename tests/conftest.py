@@ -4,10 +4,10 @@ The oracles here deliberately avoid the library's fast paths: stability via
 raw subset enumeration, cores via explicit maximum-stable-set intersection
 and via vertex deletion, hyper-cor via the maximal-stable-set hypergraph
 itself, matchings via permutation pairing, clique systems by trying every
-clique choice, cliques through a vertex by testing every neighbour combination,
-scans by checking every stream graph without the class walk, the class
-walk by visiting every edge mask, and coronas by isomorphism search.  They
-are the ground truth the optimized code is measured against.
+clique choice, scans by checking every stream graph without the class
+walk, the class walk by visiting every edge mask, and coronas by
+isomorphism search.  They are the ground truth the optimized code is
+measured against.
 ``check_conjecture3_reference`` tests the conj3 filters with the per-edge
 ones first, so that the order the checker uses is shown not to change a
 verdict.
@@ -23,7 +23,8 @@ import numpy as np
 
 from giwb.bounds import (NOT_APPLICABLE, VIOLATED, Verdict, _bound_verdict,
                          are_isomorphic)
-from giwb.graphs import Graph, bits, from_edges, induced_subgraph, to_graph6
+from giwb.graphs import (Graph, bits, component_count, from_edges,
+                         induced_subgraph, to_graph6)
 from giwb.harness import (CheckTotals, ScanConfig, ScanReport, _edge_list,
                           _verdict_record, check_verdicts, enumerate_graphs)
 from giwb.hypergraphs import stable_set_hypergraph
@@ -171,18 +172,6 @@ def clique_systems_oracle(g: Graph, stable: int, order: int) -> list[tuple]:
     return systems
 
 
-def cliques_through_oracle(g: Graph, v: int, allowed: int,
-                           order: int) -> list[int]:
-    """Every clique of the given order through ``v`` inside ``allowed``,
-    sorted: each (order - 1)-combination of v's allowed neighbours, tested
-    pair by pair."""
-    out = []
-    for combo in itertools.combinations(bits(g.adj[v] & allowed), order - 1):
-        if all(g.has_edge(a, b) for a, b in itertools.combinations(combo, 2)):
-            out.append(sum(1 << u for u in combo) | 1 << v)
-    return sorted(out)
-
-
 def check_conjecture3_reference(g: Graph, an: GraphAnalysis) -> Verdict:
     """conj3 with the per-edge filters (sigma_e, omega_e) tested before
     sigma_v = alpha and omega_v = omega."""
@@ -228,8 +217,9 @@ def brute_force_scan(config: ScanConfig) -> ScanReport:
     with ``dedup``), without the class walk, orbit weighting or shards."""
     report = ScanReport(config=config,
                         totals={c: CheckTotals() for c in config.checks})
-    for g in enumerate_graphs(config.n, config.connected_only,
-                              dedup=config.dedup):
+    for g in enumerate_graphs(config.n, dedup=config.dedup):
+        if config.connected_only and component_count(g) != 1:
+            continue
         report.graph_count += 1
         for name, verdict in check_verdicts(g, config.checks):
             report.totals[name].add(verdict)

@@ -83,6 +83,14 @@ class TestGamma:
         code, _, captured = run(capsys, "gamma")
         assert code == 2 and "needs --a and --t" in captured.err
 
+    @pytest.mark.parametrize("extra", [("--a", "2"), ("--t", "3"),
+                                       ("--oracle",)])
+    def test_properties_excludes_single_value_options(self, capsys, extra):
+        code, records, captured = run(capsys, "gamma", "--properties", "3",
+                                      "3", *extra)
+        assert code == 2 and not records
+        assert "--properties excludes --a, --t and --oracle" in captured.err
+
 
 class TestCheck:
     def test_all_checks_on_holding_graph(self, capsys):
@@ -289,7 +297,11 @@ class TestGenerateAndCatalog:
 
     @pytest.mark.parametrize("counts, named", [
         (("--alpha", "2", "--tau", "2", "--c", "-1"), "c"),
-        (("--alpha", "-1", "--tau", "3", "--c", "1"), "alpha")])
+        (("--alpha", "-1", "--tau", "3", "--c", "1"), "alpha"),
+        # alpha + tau lies outside 1..7 here: the negative count is named
+        # before the order is checked.
+        (("--alpha", "-5", "--tau", "3", "--c", "1"), "alpha"),
+        (("--alpha", "2", "--tau", "-9", "--c", "1"), "tau")])
     @pytest.mark.parametrize("from_file", [False, True])
     def test_catalog_negative_counts_exit_2(self, capsys, tmp_path, counts,
                                             named, from_file):
@@ -301,7 +313,8 @@ class TestGenerateAndCatalog:
         code, records, captured = run(capsys, "catalog-min-edges", *counts,
                                       *source)
         assert code == 2 and not records
-        assert f"giwb: error: {named} must be >= 0, not -1" in captured.err
+        value = dict(zip(counts[::2], counts[1::2]))[f"--{named}"]
+        assert f"giwb: error: {named} must be >= 0, not {value}" in captured.err
 
     def test_catalog_has_no_order_option(self, capsys):
         # tau = n - alpha: only n = alpha + tau can match, and that is the

@@ -1,22 +1,21 @@
 """Clique systems and the conjecture checkers."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings
 
 from conftest import (check_conjecture3_reference, clique_systems_oracle,
-                      cliques_through_oracle, complement_oracle, edgeless,
+                      complement_oracle, dedup_classes, edgeless,
                       maximum_stable_sets_oracle, omega_e_oracle,
                       sigma_v_oracle)
 from giwb.bounds import (HOLDS, NOT_APPLICABLE, VIOLATED, complete as k_n,
                          cycle, path)
-from giwb.conjectures import (CliqueSystem, _cliques_through,
-                              check_conjecture1_bound, check_conjecture1_full,
-                              check_conjecture3, check_omega_v_substitution,
-                              clique_system_search)
+from giwb.conjectures import (CliqueSystem, check_conjecture1_bound,
+                              check_conjecture1_full, check_conjecture3,
+                              check_omega_v_substitution, clique_system_search)
 from giwb.graphs import from_edges, mask_of, parse_graph6
 from giwb.harness import enumerate_graphs
 from giwb.invariants import _TABLE_CAP, GraphAnalysis, maximum_stable_sets
-from test_graphs import graphs
+from test_graphs import graphs, small_graphs
 
 
 class TestCliqueSystem:
@@ -95,25 +94,29 @@ class TestCliqueSystem:
         assert first == second
 
 
-class TestCliquesThrough:
-    @given(graphs, st.integers(min_value=0), st.integers(min_value=0))
-    def test_matches_combination_oracle(self, g, v, allowed):
-        if g.n == 0:
-            return
-        v %= g.n
-        allowed &= g.full_mask
-        for order in range(1, g.n + 2):
-            assert (_cliques_through(g, v, allowed, order)
-                    == cliques_through_oracle(g, v, allowed, order)), order
+class TestSearchAgainstOracle:
+    """The one backtracking search against every system raw enumeration
+    finds, on every maximum stable set and clique orders 1-4."""
 
-    @given(graphs, st.integers(min_value=0))
-    def test_order_one_and_orders_past_the_degree(self, g, v):
-        if g.n == 0:
-            return
-        v %= g.n
-        assert _cliques_through(g, v, g.full_mask, 1) == [1 << v]
-        for order in range(g.degree(v) + 2, g.n + 2):
-            assert _cliques_through(g, v, g.full_mask, order) == []
+    @staticmethod
+    def assert_agrees(g):
+        for stable in maximum_stable_sets_oracle(g):
+            for order in range(1, 5):
+                found = clique_system_search(g, stable, order)
+                systems = clique_systems_oracle(g, stable, order)
+                assert (found is not None) == bool(systems), (g, stable, order)
+                if found is not None:
+                    assert found.validate(g, stable, order)
+                    assert sorted(found.parts) in [sorted(s) for s in systems]
+
+    @settings(deadline=None)
+    @given(small_graphs)
+    def test_small_graphs(self, g):
+        self.assert_agrees(g)
+
+    def test_every_class_up_to_6(self):
+        for g in dedup_classes(6):
+            self.assert_agrees(g)
 
 
 class TestConjecture1:

@@ -43,9 +43,6 @@ class TestEnumeration:
         for g in enumerate_graphs(4):
             assert any(are_isomorphic(g, r) for r in reps)
 
-    def test_connected_filter(self):
-        assert sum(1 for _ in enumerate_graphs(3, connected_only=True)) == 4
-
     def test_order_bounds(self):
         with pytest.raises(ValueError):
             list(enumerate_graphs(0))
