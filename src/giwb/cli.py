@@ -9,7 +9,8 @@ per graph, so records for earlier graphs precede an error on a later one.
 
 Exit codes: 0 on completion (including logged findings), 1 when a theorem
 or corollary check is violated, 2 on usage, parse or input errors
-(unreadable files included), 3 on an internal error (traceback on stderr).
+(unreadable files included), 3 on an internal error (traceback on stderr),
+141 (128 + SIGPIPE) when the reader closes standard output early.
 """
 
 from __future__ import annotations
@@ -228,6 +229,15 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
+    except BrokenPipeError:
+        # The reader stopped early (`giwb ... | head`).  Exit as a shell
+        # reports a tool that SIGPIPE ends, with nothing on stderr; the
+        # interpreter's exit-time flush of stdout would raise again, so
+        # stdout now points at the null device.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (ValueError, OSError) as exc:
         print(f"giwb: error: {exc}", file=sys.stderr)
         return 2

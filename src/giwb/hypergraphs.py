@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .bounds import NOT_APPLICABLE, Verdict, _bound_verdict
-from .graphs import Graph, MAX_VERTICES, _graph, bits, mask_of
+from .graphs import Graph, MAX_VERTICES, _graph, mask_of
 from .invariants import GraphAnalysis, maximal_cliques, maximal_stable_sets
 
 
@@ -65,11 +65,16 @@ class HyperGraph:
 
 
 def two_section(h: HyperGraph) -> Graph:
-    """Graph on the same vertices joining each pair co-occurring in an edge."""
-    adj = [0] * h.n
-    for e in h.edges:
-        for v in bits(e):
-            adj[v] |= e & ~(1 << v)
+    """Graph on the same vertices joining each pair co-occurring in an edge:
+    each vertex's row is the union of the edges through it, less itself."""
+    adj = []
+    for v in range(h.n):
+        bit = 1 << v
+        row = 0
+        for e in h.edges:
+            if e & bit:
+                row |= e
+        adj.append(row & ~bit)
     return _graph(h.n, adj)
 
 

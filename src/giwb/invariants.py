@@ -1,17 +1,24 @@
 """Exact graph invariants: stability and covering numbers, the per-vertex and
 per-edge covering invariants, core decomposition, and criticality predicates.
 
-Everything here is exact combinatorial search.  ``stability_number`` is a
-colour-ordered bitmask branch-and-bound: one greedy clique cover per search
-node bounds and orders all of its branches.  The derived invariants ask for
-α of vertex subsets through one ``GraphAnalysis`` per graph: up to
-``_TABLE_CAP`` = 8 vertices it builds a table of α over all 2^n subsets, so
-every query is a lookup; above the cap each distinct subset is searched once
-and memoized.  The table costs 2^n steps whatever is asked, so it pays only
-on small graphs: the two are about even at n = 8, and the search wins from
-n = 9 on (see ``_TABLE_CAP``).  Every scan (n <= 7) stays on the table.  The
-cores and the critical edges read the same queries: no vertex or edge is
-deleted.
+Everything here is exact combinatorial search.  ``_max_stable_set`` is a
+colour-ordered bitmask branch-and-bound that returns a maximum stable set:
+one greedy clique cover per search node bounds and orders all of its
+branches, and ``stability_number`` is the order of the set it returns.  The
+derived invariants ask for α of vertex subsets through one
+``GraphAnalysis`` per graph: up to ``_TABLE_CAP`` = 8 vertices it builds a
+table of α over all 2^n subsets, so every query is a lookup; above the cap
+each distinct subset is searched once and a maximum stable set inside it
+memoized.  The table costs 2^n steps whatever is asked, so it pays only on
+small graphs: the two are about even at n = 8, and the search wins from
+n = 9 on (see ``_TABLE_CAP``).  Every scan (n <= 7) stays on the table.
+
+σ_v, ω_v (σ_v of the complement) and the τ-core read m(v), the order of a
+largest stable set through v.  Above the cap these come from α's witness
+plus one search per vertex that no maximum stable set found so far covers:
+a covered vertex has m(v) = α, since m(v) <= α always, so it needs no
+search.  The cores and the critical edges read the same queries: no vertex
+or edge is deleted.
 """
 
 from __future__ import annotations
@@ -34,7 +41,14 @@ _TABLE_CAP = 8
 
 
 def stability_number(g: Graph, subset: Optional[VertexMask] = None) -> int:
-    """Maximum size of a stable set of ``g`` (restricted to ``subset``).
+    """Maximum size of a stable set of ``g`` (restricted to ``subset``): the
+    order of the set ``_max_stable_set`` finds."""
+    return _max_stable_set(g, subset).bit_count()
+
+
+def _max_stable_set(g: Graph,
+                    subset: Optional[VertexMask] = None) -> VertexMask:
+    """One stable set of maximum size in ``g`` (restricted to ``subset``).
 
     Colour-ordered branch-and-bound (Tomita & Seki, DMTCS 2003, run on the
     complement): each node covers its candidates greedily by cliques of
@@ -52,9 +66,10 @@ def stability_number(g: Graph, subset: Optional[VertexMask] = None) -> int:
     if cand0 & ~g.full_mask:
         raise ValueError("subset has bits beyond n")
     best = 0
+    best_set = 0
 
-    def expand(cand: int, size: int) -> None:
-        nonlocal best
+    def expand(cand: int, chosen: int, size: int) -> None:
+        nonlocal best, best_set
         cliques = []
         rest = cand
         while rest:
@@ -72,25 +87,28 @@ def stability_number(g: Graph, subset: Optional[VertexMask] = None) -> int:
                 if size + k <= best:
                     return
                 v = clique.bit_length() - 1
-                clique ^= 1 << v
-                cand ^= 1 << v
+                b = 1 << v
+                clique ^= b
+                cand ^= b
                 # The rest of this clique is adjacent to v, and every later
                 # clique's vertices are already gone from cand.
                 sub = cand & ~adj[v]
                 if sub:
-                    expand(sub, size + 1)
+                    expand(sub, chosen | b, size + 1)
                 elif size >= best:
                     best = size + 1
+                    best_set = chosen | b
 
-    expand(cand0, 0)
-    return best
+    expand(cand0, 0, 0)
+    return best_set
 
 
 def max_stable_containing(g: Graph, v: int) -> int:
-    """Largest stable set through ``v`` (automatically maximal at that size)."""
+    """Largest stable set through ``v`` (automatically maximal at that size):
+    one search of the vertices outside N[v]."""
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range")
-    return GraphAnalysis(g).max_stable_containing(v)
+    return 1 + stability_number(g, g.full_mask & ~(g.adj[v] | (1 << v)))
 
 
 def max_clique_containing_edge(g: Graph, e: tuple[int, int]) -> int:
@@ -196,13 +214,17 @@ class GraphAnalysis:
     Builds the subset table of stability numbers once (n <= 8) so that the
     through-vertex queries behind sigma_v, the cores, and the criticality
     predicates are O(1) lookups.  Above the cap each distinct subset is
-    searched once and its α memoized.  All results are plain values;
-    instances are cheap to throw away.
+    searched once and a maximum stable set inside it memoized.  There the
+    per-vertex orders m(v) behind sigma_v and the cores come from α's
+    witness plus one search per vertex that no maximum stable set found so
+    far covers: a covered vertex has m(v) = α, since m(v) <= α always.
+    All results are plain values; instances are cheap to throw away.
     """
 
     def __init__(self, g: Graph):
         self.g = g
-        self._alpha_memo: dict[VertexMask, int] = {}
+        # Subset -> one maximum stable set inside it (above the table cap).
+        self._alpha_memo: dict[VertexMask, VertexMask] = {}
 
     @cached_property
     def _table(self) -> Optional[list[int]]:
@@ -223,11 +245,15 @@ class GraphAnalysis:
         t = self._table
         if t is not None:
             return t[subset]
+        return self._max_set(subset).bit_count()
+
+    def _max_set(self, subset: VertexMask) -> VertexMask:
+        """A maximum stable set inside ``subset``, searched once."""
         memo = self._alpha_memo
-        a = memo.get(subset)
-        if a is None:
-            a = memo[subset] = stability_number(self.g, subset)
-        return a
+        found = memo.get(subset)
+        if found is None:
+            found = memo[subset] = _max_stable_set(self.g, subset)
+        return found
 
     @cached_property
     def complement_analysis(self) -> "GraphAnalysis":
@@ -245,15 +271,38 @@ class GraphAnalysis:
     def omega(self) -> int:
         return self.complement_analysis.alpha
 
-    def max_stable_containing(self, v: int) -> int:
+    @cached_property
+    def _through(self) -> tuple[int, ...]:
+        """m(v), the order of a largest stable set through v, for each v:
+        1 + α(V - N[v]).  Above the table cap the vertices are walked in
+        index order.  One covered by a maximum stable set found so far has
+        m(v) = α unsearched; any other is searched, and when its m(v) = α
+        the set found through it covers its vertices too."""
         g = self.g
-        return 1 + self.alpha_of(g.full_mask & ~(g.adj[v] | (1 << v)))
+        adj, full = g.adj, g.full_mask
+        t = self._table
+        if t is not None:
+            return tuple(1 + t[full & ~(adj[v] | (1 << v))]
+                         for v in range(g.n))
+        a = self.alpha
+        covered = self._max_set(full)
+        through = []
+        for v in range(g.n):
+            m = a
+            if not covered >> v & 1:
+                found = self._max_set(full & ~(adj[v] | (1 << v)))
+                m = 1 + found.bit_count()
+                if m == a:
+                    covered |= found | (1 << v)
+            through.append(m)
+        return tuple(through)
+
+    def max_stable_containing(self, v: int) -> int:
+        return self._through[v]
 
     @cached_property
     def sigma_v(self) -> int:
-        if self.g.n == 0:
-            return 0
-        return min(self.max_stable_containing(v) for v in range(self.g.n))
+        return min(self._through, default=0)
 
     @cached_property
     def omega_v(self) -> int:
@@ -285,11 +334,11 @@ class GraphAnalysis:
           S ∪ {v} would be stable;
         - a neighbour that lies in some maximum stable set keeps v out of
           that set.
-        Both read only alpha and the per-vertex queries of sigma_v."""
+        Both read only alpha and the per-vertex orders of sigma_v."""
         g = self.g
         a = self.alpha
-        tau_core = mask_of(v for v in range(g.n)
-                           if self.max_stable_containing(v) < a)
+        through = self._through
+        tau_core = mask_of(v for v in range(g.n) if through[v] < a)
         alpha_core = mask_of(v for v in range(g.n)
                              if not g.adj[v] & ~tau_core)
         b = g.full_mask & ~(alpha_core | tau_core)

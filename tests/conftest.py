@@ -3,11 +3,11 @@
 The oracles here deliberately avoid the library's fast paths: stability via
 raw subset enumeration, cores via explicit maximum-stable-set intersection
 and via vertex deletion, hyper-cor via the maximal-stable-set hypergraph
-itself, matchings via permutation pairing, clique systems by trying every
-clique choice, scans by checking every stream graph without the class
-walk, the class walk by visiting every edge mask, and coronas by
-isomorphism search.  They are the ground truth the optimized code is
-measured against.
+itself, matchings via permutation pairing, 2-sections by pairwise
+co-occurrence, clique systems by trying every clique choice, scans by
+checking every stream graph without the class walk, the class walk by
+visiting every edge mask, and coronas by isomorphism search.  They are the
+ground truth the optimized code is measured against.
 ``check_conjecture3_reference`` tests the conj3 filters with the per-edge
 ones first, so that the order the checker uses is shown not to change a
 verdict.
@@ -27,7 +27,7 @@ from giwb.graphs import (Graph, bits, component_count, from_edges,
                          induced_subgraph, to_graph6)
 from giwb.harness import (CheckTotals, ScanConfig, ScanReport, _edge_list,
                           _verdict_record, check_verdicts, enumerate_graphs)
-from giwb.hypergraphs import stable_set_hypergraph
+from giwb.hypergraphs import HyperGraph, stable_set_hypergraph
 from giwb.invariants import GraphAnalysis, stability_number
 
 
@@ -147,6 +147,14 @@ def omega_e_oracle(g: Graph) -> int:
     number of the common neighbourhood, by subset enumeration."""
     co = complement_oracle(g)
     return min(2 + alpha_oracle(co, g.adj[u] & g.adj[v]) for u, v in g.edges())
+
+
+def two_section_oracle(h: HyperGraph) -> Graph:
+    """The 2-section pair by pair: u and v are adjacent iff some edge holds
+    both."""
+    return from_edges(h.n, [
+        (u, v) for u, v in itertools.combinations(range(h.n), 2)
+        if any(e >> u & 1 and e >> v & 1 for e in h.edges)])
 
 
 def clique_systems_oracle(g: Graph, stable: int, order: int) -> list[tuple]:

@@ -406,6 +406,21 @@ class TestErrors:
         assert cli.main(["frobnicate"]) == 2
         capsys.readouterr()
 
+    def test_closed_output_pipe_exits_141_quietly(self, tmp_path):
+        path = tmp_path / "many.g6"
+        path.write_text("Dhc\n" * 3000, encoding="ascii")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        with subprocess.Popen(
+                [sys.executable, "-m", "giwb.cli", "check", "--all",
+                 str(path)], env=env, stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline().startswith(b"{")
+            proc.stdout.close()  # 24,000 records cannot fit in the pipe
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 141
+        assert err == b""
+
     def test_records_carry_version(self, capsys):
         _, records, _ = run(capsys, "invariants", "Dhc")
         assert records[0]["version"]

@@ -7,9 +7,10 @@ import operator
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
-from conftest import check_hyper_corollary_reference, dedup_classes
+from conftest import (check_hyper_corollary_reference, dedup_classes,
+                      two_section_oracle)
 from giwb.bounds import HOLDS, NOT_APPLICABLE, complete as k_n, cycle, path
 from giwb import hypergraphs, invariants
 from giwb.graphs import Graph, parse_graph6
@@ -48,6 +49,12 @@ class TestBasics:
         assert h.r_max == 3 and h.is_uniform() is None
         g = two_section(h)
         assert sorted(g.edges()) == [(0, 1), (0, 2), (1, 2), (2, 3)]
+
+    @given(st.integers(0, 12).flatmap(lambda n: st.builds(
+        HyperGraph, st.just(n),
+        st.lists(st.integers(0, (1 << n) - 1), max_size=10))))
+    def test_two_section_matches_pairwise_oracle(self, h):
+        assert two_section(h) == two_section_oracle(h)
 
     def test_stable_set_hypergraph_of_cycle(self):
         h = stable_set_hypergraph(cycle(5))

@@ -130,23 +130,99 @@ class TestAlphaMemo:
             mp.setattr(invariants, "_TABLE_CAP", 16)
             assert suite(uses_table=True) == memo
 
-    @given(memo_graphs)
-    def test_each_subset_is_searched_once(self, g):
+    @staticmethod
+    def searches(g, *queries):
+        """The subsets searched while an analysis of ``g`` answers the
+        named queries."""
         searched = []
-        real = invariants.stability_number
+        real = invariants._max_stable_set
 
         def counted(graph, subset=None):
             searched.append(subset)
             return real(graph, subset)
         an = GraphAnalysis(g)
-        full = g.full_mask
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(invariants, "stability_number", counted)
-            an.sigma_v
-            an.cores
+            mp.setattr(invariants, "_max_stable_set", counted)
+            for query in queries:
+                getattr(an, query)
+        return searched
+
+    @settings(deadline=None)
+    @given(memo_graphs)
+    def test_each_subset_is_searched_once(self, g):
         # cores reads sigma_v's searches and alpha, and deletes no vertex.
-        closed_non_nbhds = {full & ~(g.adj[v] | 1 << v) for v in range(g.n)}
-        assert sorted(searched) == sorted(closed_non_nbhds | {full})
+        searched = self.searches(g, "sigma_v", "cores")
+        full = g.full_mask
+        closed_non_nbhds = [full & ~(g.adj[v] | 1 << v) for v in range(g.n)]
+        assert len(searched) == len(set(searched))
+        assert set(searched) <= {full, *closed_non_nbhds}
+        # A vertex left unsearched lies in a maximum stable set found.
+        a = alpha_oracle(g)
+        for sub in closed_non_nbhds:
+            if sub not in searched:
+                assert 1 + alpha_oracle(g, sub) == a
+
+    @settings(deadline=None)
+    @given(memo_graphs)
+    def test_max_stable_containing_matches_oracle(self, g):
+        an = GraphAnalysis(g)
+        for v in range(g.n):
+            closed_non_nbhd = g.full_mask & ~(g.adj[v] | 1 << v)
+            assert an.max_stable_containing(v) == \
+                1 + alpha_oracle(g, closed_non_nbhd)
+
+    @pytest.mark.parametrize("g, vertex_searches", [
+        # The two maximum stable sets of C_12 alternate: α's witness is one,
+        # and the first vertex outside it finds the other.
+        (cycle(12), 1),
+        # The Petersen graph (outer 5-cycle, inner pentagram, spokes) has
+        # five maximum stable sets of order 4, any two sharing one vertex.
+        # Each search finds a new one, so the sets found cover 4, 7, 9 and
+        # then all 10 vertices, whatever the labels.
+        (from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
+                    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                    + [(i, i + 5) for i in range(5)]), 3),
+    ])
+    def test_covered_vertices_are_not_searched(self, g, vertex_searches):
+        rng = random.Random(g.n)
+        for _ in range(20):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            h = from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+            searched = self.searches(h, "sigma_v")
+            assert searched[0] == h.full_mask
+            assert len(searched) - 1 == vertex_searches < h.n
+            assert GraphAnalysis(h).sigma_v == alpha_oracle(h)
+
+    def test_sigma_v_and_omega_v_match_networkx(self):
+        # The memo tests stop at n = 14; networkx's maximum clique checks
+        # the per-vertex orders on n = 17-40 independently.
+        import networkx as nx
+
+        def nx_through(g, v, adjacent):
+            # 1 + the clique number of the complement of g on V - N[v]
+            # (adjacent=False: a largest stable set through v) or of g on
+            # N(v) (adjacent=True: a largest clique through v).
+            vs = [u for u in range(g.n) if u != v
+                  and g.has_edge(u, v) == adjacent]
+            h = nx.Graph()
+            h.add_nodes_from(vs)
+            h.add_edges_from(
+                (u, w) for i, u in enumerate(vs) for w in vs[i + 1:]
+                if g.has_edge(u, w) == adjacent)
+            return 1 + nx.max_weight_clique(h, weight=None)[1]
+
+        rng = random.Random(2016)
+        densities = (0.1, 0.3, 0.5, 0.7, 0.9)
+        for n in range(17, 41):
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            edges = rng.sample(pairs, round(densities[n % 5] * len(pairs)))
+            g = from_edges(n, edges)
+            an = GraphAnalysis(g)
+            assert an.sigma_v == min(nx_through(g, v, False)
+                                     for v in range(n)), to_graph6(g)
+            assert an.omega_v == min(nx_through(g, v, True)
+                                     for v in range(n)), to_graph6(g)
 
 
 class TestInvariantSuite:
