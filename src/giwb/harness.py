@@ -13,6 +13,10 @@ the sorted violation list are exactly those of a scan over every edge mask;
 a dedup scan weights each representative 1.  In both modes the orbit sizes
 must add up to the labeled count.  Per-check totals are summed from
 sub-totals per class-index residue, so ``ScanConfig.shard_count`` changes none.
+
+Only the class walk ``_orbits`` imports numpy, when it starts: ``search``,
+``catalog-min-edges`` without ``--input`` and ``enumerate_graphs(n,
+dedup=True)`` load it, and no other command does.
 """
 
 from __future__ import annotations
@@ -24,9 +28,7 @@ import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields
-from typing import Callable, Iterator, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
 from .bounds import (HOLDS, NOT_APPLICABLE, Verdict, VIOLATED, check_berge,
                      check_cor1, check_edge_bound, check_galvin_goddard,
@@ -37,6 +39,9 @@ from .graphs import (Graph, GraphFormatError, _graph, component_count,
                      is_significant, parse_edge_list, parse_graph6, to_graph6)
 from .hypergraphs import check_hyper_corollary
 from .invariants import GraphAnalysis
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ENUM_CAP = 7
 
@@ -96,25 +101,21 @@ def _graph_from_mask(n: int, mask: int, edge_list) -> Graph:
     return _graph(n, adj)
 
 
-# Masks per read of the ``seen`` marks in ``_orbits``: numpy skips the
-# marked masks of a block, so Python visits few masks beyond the classes.
-_SEEN_BLOCK = 4096
-
-
-def _orbits(n: int) -> Iterator[tuple[int, np.ndarray]]:
+def _orbits(n: int) -> Iterator[tuple[int, int, np.ndarray]]:
     """Ascending canonical edge masks, one per isomorphism class, each with
-    its orbit: the mask's image under every vertex permutation, n! entries
-    (in ``itertools.permutations`` order) in which each orbit member appears
-    |Aut| times.
+    its weight n!/|Aut| (the orbit size) and its orbit: the mask's image
+    under every vertex permutation, n! entries (in ``itertools.permutations``
+    order) in which each orbit member appears |Aut| times.
 
     Ascending iteration plus orbit marking makes the first mask seen in
     each orbit exactly the lexicographic minimum over all permutations.
-    The walk reads the ``seen`` marks a block of masks at a time and visits
-    only the masks unmarked at the start of their block, re-testing each
-    because a class found earlier in the same block may have marked it; an
-    orbit is the sum, over the mask's set edges only, of each edge's image
-    bit under every permutation.
+    After marking an orbit the walk moves to the next unmarked mask: on a
+    bool array ``argmin`` stops at the first ``False``, and returns 0, the
+    mask just marked, once every mask is marked.  An orbit is the sum, over
+    the mask's set edges only, of each edge's image bit under every
+    permutation.
     """
+    import numpy as np
     m = n * (n - 1) // 2
     us, vs = np.array(_edge_list(n), dtype=np.int64).reshape(m, 2).T
     edge_index = np.zeros((n, n), dtype=np.int64)
@@ -122,15 +123,13 @@ def _orbits(n: int) -> Iterator[tuple[int, np.ndarray]]:
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
     image_bits = np.int64(1) << edge_index[perms[:, us], perms[:, vs]]
     seen = np.zeros(1 << m, dtype=bool)
-    for lo in range(0, 1 << m, _SEEN_BLOCK):
-        unseen = np.flatnonzero(~seen[lo:lo + _SEEN_BLOCK]) + lo
-        for mask in unseen.tolist():
-            if seen[mask]:
-                continue
-            columns = [i for i in range(m) if mask >> i & 1]
-            orbit = image_bits[:, columns].sum(axis=1)
-            seen[orbit] = True
-            yield mask, orbit
+    mask = 0
+    while not seen[mask]:
+        columns = [i for i in range(m) if mask >> i & 1]
+        orbit = image_bits[:, columns].sum(axis=1)
+        seen[orbit] = True
+        yield mask, len(perms) // int(np.count_nonzero(orbit == mask)), orbit
+        mask += int(seen[mask:].argmin())
 
 
 def _labeled_count(n: int, connected_only: bool) -> int:
@@ -153,7 +152,7 @@ def enumerate_graphs(n: int, dedup: bool = False) -> Iterator[Graph]:
     if not 1 <= n <= ENUM_CAP:
         raise ValueError(f"enumeration supports 1 <= n <= {ENUM_CAP}")
     edge_list = _edge_list(n)
-    masks = ((mask for mask, _ in _orbits(n)) if dedup
+    masks = ((mask for mask, _, _ in _orbits(n)) if dedup
              else range(1 << len(edge_list)))
     for mask in masks:
         yield _graph_from_mask(n, mask, edge_list)
@@ -348,9 +347,8 @@ def scan(config: ScanConfig) -> ScanReport:
     report = ScanReport(config=config)
     sub_totals: dict[int, dict[str, CheckTotals]] = {}
     edge_list = _edge_list(n)
-    n_perms = math.factorial(n)
     idx = labeled_total = 0
-    for mask, orbit in _orbits(n):
+    for mask, weight, orbit in _orbits(n):
         g = _graph_from_mask(n, mask, edge_list)
         if config.connected_only and component_count(g) != 1:
             continue
@@ -359,13 +357,12 @@ def scan(config: ScanConfig) -> ScanReport:
         totals = sub_totals.get(residue)
         if totals is None:
             totals = sub_totals[residue] = {c: CheckTotals() for c in checks}
-        weight = n_perms // int(np.count_nonzero(orbit == mask))
         labeled_total += weight
         verdicts = list(check_verdicts(g, checks))
         if config.dedup or all(v.status != VIOLATED for _, v in verdicts):
             report.add(g, verdicts, totals, 1 if config.dedup else weight)
         else:
-            members = np.unique(orbit)
+            members = sorted(set(orbit.tolist()))
             if len(members) != weight:
                 raise RuntimeError(f"orbit of edge mask {mask} on {n} vertices "
                                    f"has {len(members)} members, not {weight}")
@@ -373,7 +370,7 @@ def scan(config: ScanConfig) -> ScanReport:
                 if member == mask:
                     report.add(g, verdicts, totals)
                     continue
-                h = _graph_from_mask(n, int(member), edge_list)
+                h = _graph_from_mask(n, member, edge_list)
                 report.add(h, check_verdicts(h, checks), totals)
     want = _labeled_count(n, config.connected_only)
     if labeled_total != want:

@@ -10,8 +10,8 @@ derived invariants ask for α of vertex subsets through one
 table of α over all 2^n subsets, so every query is a lookup; above the cap
 each distinct subset is searched once and a maximum stable set inside it
 memoized.  The table costs 2^n steps whatever is asked, so it pays only on
-small graphs: the two are about even at n = 8, and the search wins from
-n = 9 on (see ``_TABLE_CAP``).  Every scan (n <= 7) stays on the table.
+small graphs: a little faster on the scans (n <= 7), about even at n = 8,
+and the search wins from n = 9 on (see ``_TABLE_CAP``).
 
 σ_v, ω_v (σ_v of the complement) and the τ-core read m(v), the order of a
 largest stable set through v.  Above the cap these come from α's witness
@@ -31,12 +31,12 @@ from .graphs import (Graph, VertexMask, bridges, complement, component_count,
                      mask_of)
 
 # Largest n for which the 2^n subset table is built; beyond it each distinct
-# subset is searched once by branch-and-bound.  All 11 checks on random
-# graphs with a uniform edge count (2-vCPU Xeon, Python 3.11, two runs) took,
-# per graph, table vs search: 0.14-0.20 vs 0.17-0.23 ms at n = 7,
-# 0.22-0.25 vs 0.21-0.23 ms at n = 8, 0.36-0.37 vs 0.26-0.27 ms at n = 9
-# and 0.52-0.59 vs 0.25-0.30 ms at n = 10; ``check --all`` on 16-vertex
-# graphs took 29-34 ms vs 0.9-1.2 ms.
+# subset is searched once by branch-and-bound.  All 11 checks on 200 random
+# graphs per n (2-vCPU Xeon, Python 3.11), table vs search per graph: 0.12-0.14
+# vs 0.12-0.13 ms at n = 7, 0.15-0.16 vs 0.12-0.16 at 8, 0.24-0.32 vs 0.15-0.18
+# at 9.  Over 100 interleaved pairs the labeled n = 6 scan took 24.7 vs 25.3 ms
+# (table faster in 69) and the dedup n = 7 scan tied.  The path is picked by
+# n either way, so the table stays for the scans.
 _TABLE_CAP = 8
 
 

@@ -30,6 +30,13 @@ def readme_cli_lines() -> list[str]:
     return [line for line in block.splitlines() if line.startswith("giwb ")]
 
 
+def src_env(**extra) -> dict[str, str]:
+    """The environment for a new Python process that imports giwb from this
+    checkout's ``src``."""
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -409,11 +416,9 @@ class TestErrors:
     def test_closed_output_pipe_exits_141_quietly(self, tmp_path):
         path = tmp_path / "many.g6"
         path.write_text("Dhc\n" * 3000, encoding="ascii")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
         with subprocess.Popen(
                 [sys.executable, "-m", "giwb.cli", "check", "--all",
-                 str(path)], env=env, stdout=subprocess.PIPE,
+                 str(path)], env=src_env(), stdout=subprocess.PIPE,
                 stderr=subprocess.PIPE) as proc:
             assert proc.stdout.readline().startswith(b"{")
             proc.stdout.close()  # 24,000 records cannot fit in the pipe
@@ -426,13 +431,42 @@ class TestErrors:
         assert records[0]["version"]
 
 
+# Runs giwb commands in one interpreter; prints each exit code and whether
+# numpy is loaded after it.
+NUMPY_PROBE = """
+import contextlib, io, shlex, sys
+import giwb.cli
+for line in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = giwb.cli.main(shlex.split(line))
+    print(code, "numpy" in sys.modules)
+"""
+
+
+class TestNumpyLoad:
+    def test_only_the_class_walk_loads_numpy(self, tmp_path):
+        path = tmp_path / "in.g6"
+        path.write_text("Dhc\nDj_\n")
+        no_walk = ["check --all Dhc", "invariants Dhc", "decompose Dhc",
+                   "gamma --a 2 --t 3",
+                   "generate --family odd-cycle --params 5",
+                   "catalog-min-edges --alpha 2 --tau 3 --c 1 --input "
+                   + shlex.quote(str(path))]
+        proc = subprocess.run(
+            [sys.executable, "-c", NUMPY_PROBE, *no_walk,
+             "search --n 3 --checks theorem1"], env=src_env(),
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["0 False"] * len(no_walk) + [
+            "0 True"]
+
+
 def fresh_process(argv: tuple[str, ...]) -> tuple[int, str, str]:
     """Exit code, stdout and stderr of ``giwb argv`` as a new process's
     first call, with help wrapped at 80 columns."""
-    env = dict(os.environ, COLUMNS="80", PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "giwb.cli", *argv], env=env,
-                          capture_output=True, text=True, timeout=60)
+    proc = subprocess.run([sys.executable, "-m", "giwb.cli", *argv],
+                          env=src_env(COLUMNS="80"), capture_output=True,
+                          text=True, timeout=60)
     return proc.returncode, proc.stdout, proc.stderr
 
 

@@ -98,25 +98,27 @@ class TestClassWalk:
     def test_walk_equals_the_reference_walk(self, n):
         got = list(harness._orbits(n))
         want = list(orbits_reference(n))
-        assert [mask for mask, _ in got] == [mask for mask, _ in want]
-        for (mask, orbit), (_, ref) in zip(got, want):
+        assert [mask for mask, _, _ in got] == [mask for mask, _ in want]
+        for (mask, _, orbit), (_, ref) in zip(got, want):
             assert type(mask) is int
             assert orbit.dtype == ref.dtype and orbit.shape == ref.shape
             assert np.array_equal(orbit, ref), mask
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_each_mask_is_the_minimum_of_its_orbit(self, n):
-        # Orbit-stabilizer: n! images, each member |Aut| times; the orbits
-        # partition the 2^C(n,2) edge masks.
+        # Orbit-stabilizer: n! images, each member |Aut| times, so the
+        # weight n!/|Aut| counts the distinct members; the orbits partition
+        # the 2^C(n,2) edge masks.
         n_perms = math.factorial(n)
-        covered = 0
-        for mask, orbit in harness._orbits(n):
+        total = 0
+        for mask, weight, orbit in harness._orbits(n):
             assert orbit.shape == (n_perms,)
             assert mask == orbit.min()
-            members = len(np.unique(orbit))
-            assert members == n_perms // np.count_nonzero(orbit == mask)
-            covered += members
-        assert covered == 1 << math.comb(n, 2)
+            assert type(weight) is int
+            assert weight == n_perms // np.count_nonzero(orbit == mask)
+            assert weight == len(np.unique(orbit))
+            total += weight
+        assert total == 1 << math.comb(n, 2)
 
 
 class TestScanConfig:
