@@ -51,6 +51,14 @@ def _bound_verdict(lhs: int, rhs: int, slack: int,
                    equality=(slack == 0), witness=witness)
 
 
+def _isolate_free_b_graph(g: Graph, an: GraphAnalysis) -> bool:
+    """The scope of berge, conj1-bound, omega-v-sub and hyper-cor: a
+    B-graph without isolated vertices.  Equivalently both cores are empty:
+    with an empty tau_core the neighbour rule leaves exactly the isolated
+    vertices in alpha_core."""
+    return g.n > 0 and not g.has_isolated_vertex() and an.is_b_graph
+
+
 def check_theorem1(g: Graph, an: Optional[GraphAnalysis] = None) -> Verdict:
     """alpha <= tau * (1 + alpha - sigma_v) for graphs without isolated
     vertices.  slack = rhs - lhs."""
@@ -135,7 +143,7 @@ def check_berge(g: Graph, an: Optional[GraphAnalysis] = None) -> Verdict:
     the maximum stable sets, and ``cores_by_deletion`` with vertex
     deletion."""
     an = an or GraphAnalysis(g)
-    if g.n == 0 or g.has_isolated_vertex() or not an.is_b_graph:
+    if not _isolate_free_b_graph(g, an):
         return Verdict(NOT_APPLICABLE)
     lhs = int(an.is_tau_critical)
     return _bound_verdict(lhs, 1, lhs - 1)
@@ -153,8 +161,12 @@ def check_edge_bound(g: Graph, an: Optional[GraphAnalysis] = None) -> Verdict:
 
 def check_galvin_goddard(g: Graph, an: Optional[GraphAnalysis] = None) -> Verdict:
     """n >= p + q + sqrt(4pq) with p = sigma_v - 1, q = omega_v - 1, checked
-    in pure integer arithmetic: n - p - q >= 0 and (n-p-q)^2 >= 4pq.
-    lhs = (n-p-q)^2, rhs = 4pq, slack = lhs - rhs."""
+    in pure integer arithmetic as (n-p-q)^2 >= 4pq.
+    lhs = (n-p-q)^2, rhs = 4pq, slack = lhs - rhs.
+
+    A largest stable set and a largest clique through any one vertex share
+    only that vertex, so sigma_v + omega_v <= n + 1 and n - p - q >= 1:
+    n - p - q >= sqrt(4pq) >= 0 is then the squared form exactly."""
     if g.n == 0:
         return Verdict(NOT_APPLICABLE)
     an = an or GraphAnalysis(g)
@@ -162,11 +174,7 @@ def check_galvin_goddard(g: Graph, an: Optional[GraphAnalysis] = None) -> Verdic
     q = an.omega_v - 1
     d = g.n - p - q
     lhs, rhs = d * d, 4 * p * q
-    if d < 0 or lhs < rhs:
-        return Verdict(VIOLATED, lhs=lhs, rhs=rhs, slack=lhs - rhs,
-                       witness={"p": p, "q": q})
-    return Verdict(HOLDS, lhs=lhs, rhs=rhs, slack=lhs - rhs,
-                   equality=(lhs == rhs), witness={"p": p, "q": q})
+    return _bound_verdict(lhs, rhs, lhs - rhs, witness={"p": p, "q": q})
 
 
 # Extremal families

@@ -13,7 +13,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .bounds import HOLDS, NOT_APPLICABLE, Verdict, VIOLATED, _bound_verdict
+from .bounds import (HOLDS, NOT_APPLICABLE, Verdict, VIOLATED, _bound_verdict,
+                     _isolate_free_b_graph)
 from .graphs import Graph, VertexMask, bits
 from .invariants import GraphAnalysis, maximum_stable_sets, stability_number
 
@@ -99,7 +100,7 @@ def check_conjecture1_bound(g: Graph,
     """omega_e * sigma_v <= n for B-graphs without isolated vertices.
     slack = rhs - lhs."""
     an = an or GraphAnalysis(g)
-    if g.n == 0 or g.has_isolated_vertex() or not an.is_b_graph:
+    if not _isolate_free_b_graph(g, an):
         return Verdict(NOT_APPLICABLE)
     lhs = an.omega_e * an.sigma_v
     return _bound_verdict(lhs, g.n, g.n - lhs,
@@ -165,7 +166,7 @@ def check_omega_v_substitution(g: Graph,
     the per-vertex clique invariant cannot replace the per-edge one.  They
     are reported as findings, never failures."""
     an = an or GraphAnalysis(g)
-    if g.n == 0 or g.has_isolated_vertex() or not an.is_b_graph:
+    if not _isolate_free_b_graph(g, an):
         return Verdict(NOT_APPLICABLE)
     lhs = an.omega_v * an.sigma_v
     return _bound_verdict(lhs, g.n, g.n - lhs,

@@ -88,7 +88,7 @@ class Graph:
         return sum(row.bit_count() for row in self.adj) // 2
 
     def has_isolated_vertex(self) -> bool:
-        return any(row == 0 for row in self.adj)
+        return 0 in self.adj
 
     def remove_edge(self, u: int, v: int) -> "Graph":
         if not self.has_edge(u, v):

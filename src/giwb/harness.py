@@ -188,8 +188,7 @@ def graphs_from_file(source: str) -> Iterator[Graph]:
 
 def check_verdicts(g: Graph, names) -> Iterator[tuple[str, Verdict]]:
     """``(name, verdict)`` for each named check on ``g``; the checks share
-    one analysis, so its subset table (n <= 8) is built once, and above
-    that each distinct α query is searched once."""
+    one analysis, so each distinct α query is searched once."""
     an = GraphAnalysis(g)
     for name in names:
         yield name, CHECKS[name](g, an)

@@ -15,7 +15,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .bounds import NOT_APPLICABLE, Verdict, _bound_verdict
+from .bounds import (NOT_APPLICABLE, Verdict, _bound_verdict,
+                     _isolate_free_b_graph)
 from .graphs import Graph, MAX_VERTICES, _graph, mask_of
 from .invariants import GraphAnalysis, maximal_cliques, maximal_stable_sets
 
@@ -112,14 +113,13 @@ def is_conformal_oracle(h: HyperGraph) -> bool:
 
 def check_hyper_corollary(g: Graph, an: Optional[GraphAnalysis] = None) -> Verdict:
     """2 * r_max <= |V| for the maximal-stable-set hypergraph of ``g``,
-    applicable when both cores of ``g`` are empty, which makes its edges
-    meet in no vertex and cover every vertex (the converse fails on P_3).
+    applicable on a B-graph without isolated vertices.  Both cores of such
+    a graph are empty, which makes the edges meet in no vertex and cover
+    every vertex (the converse fails on P_3).
     r_max is alpha for every graph, so no hypergraph is built.
     slack = rhs - lhs."""
-    if g.n == 0:
-        return Verdict(NOT_APPLICABLE)
     an = an or GraphAnalysis(g)
-    if an.cores.alpha_core or an.cores.tau_core:
+    if not _isolate_free_b_graph(g, an):
         return Verdict(NOT_APPLICABLE)
     lhs = 2 * an.alpha
     return _bound_verdict(lhs, g.n, g.n - lhs)

@@ -6,19 +6,16 @@ colour-ordered bitmask branch-and-bound that returns a maximum stable set:
 one greedy clique cover per search node bounds and orders all of its
 branches, and ``stability_number`` is the order of the set it returns.  The
 derived invariants ask for α of vertex subsets through one
-``GraphAnalysis`` per graph: up to ``_TABLE_CAP`` = 8 vertices it builds a
-table of α over all 2^n subsets, so every query is a lookup; above the cap
-each distinct subset is searched once and a maximum stable set inside it
-memoized.  The table costs 2^n steps whatever is asked, so it pays only on
-small graphs: a little faster on the scans (n <= 7), about even at n = 8,
-and the search wins from n = 9 on (see ``_TABLE_CAP``).
+``GraphAnalysis`` per graph, which searches each distinct subset once and
+keeps a maximum stable set inside it.
 
 σ_v, ω_v (σ_v of the complement) and the τ-core read m(v), the order of a
-largest stable set through v.  Above the cap these come from α's witness
-plus one search per vertex that no maximum stable set found so far covers:
-a covered vertex has m(v) = α, since m(v) <= α always, so it needs no
-search.  The cores and the critical edges read the same queries: no vertex
-or edge is deleted.
+largest stable set through v.  These come from α's witness plus one search
+per vertex that the maximum stable sets found so far do not settle: a
+vertex inside one has m(v) = α, since m(v) <= α always, and so has a vertex
+with exactly one neighbour w in one, S, since S - w + v is stable.  The
+cores and the critical edges read the same queries: no vertex or edge is
+deleted.
 """
 
 from __future__ import annotations
@@ -29,15 +26,6 @@ from typing import Iterator, Optional
 
 from .graphs import (Graph, VertexMask, bridges, complement, component_count,
                      mask_of)
-
-# Largest n for which the 2^n subset table is built; beyond it each distinct
-# subset is searched once by branch-and-bound.  All 11 checks on 200 random
-# graphs per n (2-vCPU Xeon, Python 3.11), table vs search per graph: 0.12-0.14
-# vs 0.12-0.13 ms at n = 7, 0.15-0.16 vs 0.12-0.16 at 8, 0.24-0.32 vs 0.15-0.18
-# at 9.  Over 100 interleaved pairs the labeled n = 6 scan took 24.7 vs 25.3 ms
-# (table faster in 69) and the dedup n = 7 scan tied.  The path is picked by
-# n either way, so the table stays for the scans.
-_TABLE_CAP = 8
 
 
 def stability_number(g: Graph, subset: Optional[VertexMask] = None) -> int:
@@ -211,48 +199,31 @@ class CriticalityProfile:
 class GraphAnalysis:
     """Cached exact analysis of one graph.
 
-    Builds the subset table of stability numbers once (n <= 8) so that the
-    through-vertex queries behind sigma_v, the cores, and the criticality
-    predicates are O(1) lookups.  Above the cap each distinct subset is
-    searched once and a maximum stable set inside it memoized.  There the
-    per-vertex orders m(v) behind sigma_v and the cores come from α's
-    witness plus one search per vertex that no maximum stable set found so
-    far covers: a covered vertex has m(v) = α, since m(v) <= α always.
-    All results are plain values; instances are cheap to throw away.
+    Each distinct subset that the through-vertex queries behind sigma_v, the
+    cores and the criticality predicates ask α of is searched once, and a
+    maximum stable set inside it kept.  The per-vertex orders m(v) come
+    from α's witness plus one search per vertex that the maximum stable
+    sets found so far do not settle (see ``_through``).  All results are
+    plain values; instances are cheap to throw away.
     """
 
     def __init__(self, g: Graph):
         self.g = g
-        # Subset -> one maximum stable set inside it (above the table cap).
-        self._alpha_memo: dict[VertexMask, VertexMask] = {}
 
     @cached_property
-    def _table(self) -> Optional[list[int]]:
-        g = self.g
-        if g.n > _TABLE_CAP:
-            return None
-        adj = g.adj
-        closed = [adj[i] | (1 << i) for i in range(g.n)]
-        table = [0] * (1 << g.n)
-        for s in range(1, 1 << g.n):
-            v = (s & -s).bit_length() - 1
-            skip = table[s & (s - 1)]
-            take = 1 + table[s & ~closed[v]]
-            table[s] = skip if skip >= take else take
-        return table
+    def _table(self) -> dict[VertexMask, VertexMask]:
+        """Subset -> one maximum stable set inside it, filled on demand."""
+        return {}
 
     def alpha_of(self, subset: VertexMask) -> int:
-        t = self._table
-        if t is not None:
-            return t[subset]
         return self._max_set(subset).bit_count()
 
     def _max_set(self, subset: VertexMask) -> VertexMask:
         """A maximum stable set inside ``subset``, searched once."""
-        memo = self._alpha_memo
-        found = memo.get(subset)
+        table = self._table
+        found = table.get(subset)
         if found is None:
-            found = memo[subset] = _max_stable_set(self.g, subset)
+            found = table[subset] = _max_stable_set(self.g, subset)
         return found
 
     @cached_property
@@ -274,26 +245,34 @@ class GraphAnalysis:
     @cached_property
     def _through(self) -> tuple[int, ...]:
         """m(v), the order of a largest stable set through v, for each v:
-        1 + α(V - N[v]).  Above the table cap the vertices are walked in
-        index order.  One covered by a maximum stable set found so far has
-        m(v) = α unsearched; any other is searched, and when its m(v) = α
-        the set found through it covers its vertices too."""
+        1 + α(V - N[v]).  The vertices are walked in index order, keeping
+        the maximum stable sets found so far.  v has m(v) = α unsearched
+        when it lies in one of them, or when its neighbours meet one, S, in
+        a single vertex w; then S - w + v joins the list.  Some neighbour
+        of v lies in each S, since S is maximum.  Any other v is searched,
+        and when its m(v) = α the set found through it joins the list."""
         g = self.g
         adj, full = g.adj, g.full_mask
-        t = self._table
-        if t is not None:
-            return tuple(1 + t[full & ~(adj[v] | (1 << v))]
-                         for v in range(g.n))
         a = self.alpha
-        covered = self._max_set(full)
+        found_sets = [self._max_set(full)]
+        covered = found_sets[0]
         through = []
         for v in range(g.n):
             m = a
-            if not covered >> v & 1:
-                found = self._max_set(full & ~(adj[v] | (1 << v)))
-                m = 1 + found.bit_count()
-                if m == a:
-                    covered |= found | (1 << v)
+            b = 1 << v
+            if not covered & b:
+                for s in found_sets:
+                    w = adj[v] & s
+                    if not w & (w - 1):
+                        found_sets.append(s ^ w | b)
+                        covered |= b
+                        break
+                else:
+                    found = self._max_set(full & ~(adj[v] | b))
+                    m = 1 + found.bit_count()
+                    if m == a:
+                        found_sets.append(found | b)
+                        covered |= found | b
             through.append(m)
         return tuple(through)
 

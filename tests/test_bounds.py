@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import corona, corona_fit_reference, edgeless
+from conftest import corona, corona_fit_reference, dedup_classes, edgeless
 from giwb.bounds import (FAMILY_KINDS, FamilySpec, HOLDS, NOT_APPLICABLE,
                          VIOLATED, _corona_shape, are_isomorphic,
                          catalog_min_edges, check_berge, check_cor1,
@@ -184,6 +184,10 @@ class TestOtherBounds:
     def test_galvin_goddard_on_complete(self):
         v = check_galvin_goddard(k_n(4))
         assert v.status == HOLDS  # p = 0 makes the bound trivial
+        # sigma_v + omega_v <= n + 1, so n - p - q >= 1 on every graph.
+        for g in dedup_classes(7):
+            w = check_galvin_goddard(g).witness
+            assert g.n - w["p"] - w["q"] >= 1, g
 
 
 class TestFamilies:

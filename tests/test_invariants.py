@@ -7,13 +7,14 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (alpha_oracle, all_labeled_graphs, cores_by_deletion,
-                      cores_oracle, dedup_classes, edgeless, is_stable,
-                      maximum_stable_sets_oracle, perfect_matching_oracle)
+from conftest import (alpha_oracle, all_labeled_graphs, complement_oracle,
+                      cores_by_deletion, cores_oracle, dedup_classes,
+                      edgeless, is_stable, maximum_stable_sets_oracle,
+                      omega_e_oracle, perfect_matching_oracle, sigma_v_oracle)
 from giwb import invariants
 from giwb.bounds import complete, cycle, path, star
 from giwb.graphs import Graph, bits, complement, from_edges, to_graph6
-from giwb.invariants import (_TABLE_CAP, GraphAnalysis, core_decomposition,
+from giwb.invariants import (GraphAnalysis, core_decomposition,
                              criticality_profile, has_perfect_matching,
                              invariant_suite, max_clique_containing_edge,
                              max_stable_containing, maximal_cliques,
@@ -21,8 +22,8 @@ from giwb.invariants import (_TABLE_CAP, GraphAnalysis, core_decomposition,
                              stability_number)
 from test_graphs import graphs, graphs_up_to, small_graphs
 
-# Orders where the α memo answers what a wider table would.
-memo_graphs = graphs_up_to(14, n_min=_TABLE_CAP + 1)
+# Orders up to which the α memo is compared with subset enumeration.
+memo_graphs = graphs_up_to(14)
 
 
 class TestStabilityNumber:
@@ -105,13 +106,11 @@ class TestAnalysisTable:
             gc.enable()
 
     def test_table_fallback_above_cap(self):
-        g = edgeless(20)  # far above the subset-table cap
+        g = edgeless(20)
         an = GraphAnalysis(g)
-        assert an._table is None
         assert an.alpha == 20 and an.sigma_v == 20
-        g = cycle(12)  # above the cap, below 16
+        g = cycle(12)
         an = GraphAnalysis(g)
-        assert _TABLE_CAP < g.n <= 16 and an._table is None
         assert (an.alpha, an.sigma_v, an.omega, an.omega_e) == (6, 6, 2, 2)
         for s in (0, g.full_mask, 0b101101101101, g.full_mask >> 3):
             assert an.alpha_of(s) == alpha_oracle(g, s)
@@ -121,14 +120,18 @@ class TestAlphaMemo:
     @settings(deadline=None)
     @given(memo_graphs)
     def test_memo_agrees_with_the_table(self, g):
-        def suite(uses_table):
-            an = GraphAnalysis(g)
-            assert (an._table is not None) == uses_table
-            return invariant_suite(g), an.cores
-        memo = suite(uses_table=False)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(invariants, "_TABLE_CAP", 16)
-            assert suite(uses_table=True) == memo
+        report = invariant_suite(g)
+        co = complement_oracle(g)
+        assert report.alpha == alpha_oracle(g)
+        assert report.omega == alpha_oracle(co)
+        if g.n:
+            assert report.sigma_v == sigma_v_oracle(g)
+            assert report.omega_v == sigma_v_oracle(co)
+        assert report.omega_e == (omega_e_oracle(g) if g.edge_count else None)
+        assert report.sigma_e == (omega_e_oracle(co) if co.edge_count
+                                  else None)
+        cores = GraphAnalysis(g).cores
+        assert (cores.alpha_core, cores.tau_core) == cores_oracle(g)
 
     @staticmethod
     def searches(g, *queries):
@@ -182,6 +185,9 @@ class TestAlphaMemo:
         (from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
                     + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
                     + [(i, i + 5) for i in range(5)]), 3),
+        # A perfect matching (5K_2): each vertex outside α's witness has
+        # exactly one neighbour in it, so one swap settles every vertex.
+        (from_edges(10, [(2 * i, 2 * i + 1) for i in range(5)]), 0),
     ])
     def test_covered_vertices_are_not_searched(self, g, vertex_searches):
         rng = random.Random(g.n)
