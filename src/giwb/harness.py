@@ -14,9 +14,12 @@ a dedup scan weights each representative 1.  In both modes the orbit sizes
 must add up to the labeled count.  Per-check totals are summed from
 sub-totals per class-index residue, so ``ScanConfig.shard_count`` changes none.
 
-Only the class walk ``_orbits`` imports numpy, when it starts: ``search``,
-``catalog-min-edges`` without ``--input`` and ``enumerate_graphs(n,
-dedup=True)`` load it, and no other command does.
+The class walk ``_orbits`` marks each class's orbit in a bitmap over all
+2^C(n,2) edge masks and jumps to the next unmarked mask; it sums each orbit
+from per-chunk tables of the permutations' edge images, one row add per
+three edge bits.  It is the only numpy code and imports numpy when it
+starts: ``search``, ``catalog-min-edges`` without ``--input`` and
+``enumerate_graphs(n, dedup=True)`` load it, and no other command does.
 """
 
 from __future__ import annotations
@@ -111,9 +114,16 @@ def _orbits(n: int) -> Iterator[tuple[int, int, np.ndarray]]:
     each orbit exactly the lexicographic minimum over all permutations.
     After marking an orbit the walk moves to the next unmarked mask: on a
     bool array ``argmin`` stops at the first ``False``, and returns 0, the
-    mask just marked, once every mask is marked.  An orbit is the sum, over
-    the mask's set edges only, of each edge's image bit under every
-    permutation.
+    mask just marked, once every mask is marked.
+
+    An orbit is the sum, over the mask's set edges, of each edge's image
+    bit under every permutation.  The edge bits are cut into chunks of three
+    consecutive bits, and each chunk gets a table, built by one small
+    matmul, whose row x is that sum over the chunk's edges that x selects;
+    an orbit is then one contiguous row add per non-empty chunk.  At n = 7
+    that is at most 7 adds of 5,040 entries a class, in place of a strided
+    gather and sum of the set edges' columns of the 5,040 x 21 image map,
+    and the walk takes about 60% of the time it took that way.
     """
     import numpy as np
     m = n * (n - 1) // 2
@@ -121,14 +131,32 @@ def _orbits(n: int) -> Iterator[tuple[int, int, np.ndarray]]:
     edge_index = np.zeros((n, n), dtype=np.int64)
     edge_index[us, vs] = edge_index[vs, us] = np.arange(m)
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-    image_bits = np.int64(1) << edge_index[perms[:, us], perms[:, vs]]
+    n_perms = len(perms)
+    # Row i: edge i's image bit under every permutation.
+    edge_images = (np.int64(1) << edge_index[perms[:, us], perms[:, vs]]).T
+    # One walk's tables hold ceil(C(n,2)/w) x 2^w x n! int64 entries for
+    # w edge bits a chunk: 2.2 MiB at n = 7 for w = 3, 3.2 MiB for w = 4
+    # and 15 MiB for w = 7.  Widths 3 to 5 walk n = 7 within about 15% of
+    # each other; w = 7 is slower and would add a third to the peak memory
+    # of a dedup n = 7 scan.
+    chunk_bits = 3
+    tables = []
+    for lo in range(0, m, chunk_bits):
+        width = min(chunk_bits, m - lo)
+        selector = np.arange(1 << width)[:, None] >> np.arange(width) & 1
+        tables.append((lo, (1 << width) - 1,
+                       selector @ edge_images[lo:lo + width]))
+    del perms, edge_images
     seen = np.zeros(1 << m, dtype=bool)
     mask = 0
     while not seen[mask]:
-        columns = [i for i in range(m) if mask >> i & 1]
-        orbit = image_bits[:, columns].sum(axis=1)
+        orbit = np.zeros(n_perms, dtype=np.int64)
+        for lo, low, table in tables:
+            x = mask >> lo & low
+            if x:
+                orbit += table[x]
         seen[orbit] = True
-        yield mask, len(perms) // int(np.count_nonzero(orbit == mask)), orbit
+        yield mask, n_perms // int(np.count_nonzero(orbit == mask)), orbit
         mask += int(seen[mask:].argmin())
 
 

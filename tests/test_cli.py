@@ -1,9 +1,11 @@
 """Command-line interface: parsing, JSON output, and exit codes."""
 
 import io
+import itertools
 import json
 import os
 import pathlib
+import re
 import shlex
 import subprocess
 import sys
@@ -541,6 +543,33 @@ class TestWorkflowSmoke:
     @pytest.mark.parametrize("line", workflow_smoke_lines())
     def test_line_exits_0(self, capsys, monkeypatch, line):
         assert run_line(capsys, monkeypatch, line)
+
+    def test_a_leg_runs_the_oldest_numpy(self):
+        # GitHub adds an ``include`` entry to every combination whose
+        # original values it leaves alone, and makes it a combination of
+        # its own only when it would change one; the base ``numpy`` value
+        # is what makes the floor a leg of its own.
+        yaml = pytest.importorskip("yaml")
+        job = yaml.safe_load(WORKFLOW.read_text(encoding="utf-8"))[
+            "jobs"]["tier1"]
+        matrix = dict(job["strategy"]["matrix"])
+        includes = matrix.pop("include", [])
+        legs = [dict(zip(matrix, values))
+                for values in itertools.product(*matrix.values())]
+        for extra in includes:
+            fits = [leg for leg in legs if all(
+                leg[k] == v for k, v in extra.items() if k in matrix)]
+            for leg in fits:
+                leg.update(extra)
+            if not fits:
+                legs.append(dict(extra))
+        floor = re.search(r'"numpy>=([\d.]+)"', (ROOT / "pyproject.toml")
+                          .read_text(encoding="utf-8")).group(1)
+        assert {(leg["python-version"], leg["numpy"]) for leg in legs} == {
+            ("3.10", "latest"), ("3.11", "latest"), ("3.10", f"{floor}.*")}
+        pin = [step for step in job["steps"] if "numpy==" in step.get("run", "")]
+        assert [step["if"] for step in pin] == ["matrix.numpy != 'latest'"]
+        assert f"numpy ≥ {floor}" in README.read_text(encoding="utf-8")
 
 
 class TestReadme:

@@ -1,9 +1,11 @@
 """Enumeration streams and the sharded scan harness."""
 
 import dataclasses
+import hashlib
 import io
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -120,6 +122,20 @@ class TestClassWalk:
             total += weight
         assert total == 1 << math.comb(n, 2)
 
+    def test_walk_memory_stays_small(self):
+        # numpy, imported above, registers its buffers with tracemalloc.
+        # The n = 7 walk holds the 2^21 seen marks (2 MiB) and its chunk
+        # tables (2.2 MiB at three edge bits a chunk); 7-bit tables (15 MiB)
+        # would raise the peak RSS of a dedup n = 7 scan by a third.
+        tracemalloc.start()
+        try:
+            for _ in harness._orbits(7):
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 << 20, peak / 2 ** 20
+
 
 class TestScanConfig:
     def test_check_name_normalization(self):
@@ -213,6 +229,99 @@ class TestScan:
         rep = scan(ScanConfig(checks=("theorem1",), n=3))
         assert rep.violations_tsv().splitlines()[0] == \
             "graph6\tcheck\tlhs\trhs\tslack"
+
+
+# SHA-256 of ``ScanReport.body_text()`` with every check, keyed by
+# (n, dedup, connected_only), and of the ``enumerate_graphs(n, dedup=True)``
+# graph6 stream, one graph a line, keyed by n.  Recorded from the
+# gather-and-sum class walk that the chunk-table walk replaced; a change that
+# moves one of them must show why the new body is right.
+GOLDEN_BODIES = {
+    (1, False, False):
+        "1aabb80d8101d02019f18e11bd099e7c1f906a259cac891029bbd67d36658bc2",
+    (1, False, True):
+        "fe1e0319dc046a1245f901fd7839f9af7a1b4cf75350e2e0db1fc0875cea75b5",
+    (1, True, False):
+        "c8c6e9c94ee56999623d424ad61ab96c6d25f08439720783d3228a58e568eb55",
+    (1, True, True):
+        "0b1e857c5908063bcaa469029624e4ae27eede41c40f22d8ec891bcb13ae8853",
+    (2, False, False):
+        "bb0b9eab38e7c9cf2bae6ff4a6b294a5a1e8abdd2cbba6061b2c84b8dea41e9a",
+    (2, False, True):
+        "66c7e123bf140813cc4c6dc6338573aefac00241925533709d220c556d25135e",
+    (2, True, False):
+        "bd79f52fce9556407892292bab795d3dbe88f66d2ec4d51428d69e5095b7b0ed",
+    (2, True, True):
+        "dc45de6c5b4ef1a37eeb55fe581b7ef0265217a36c0e1696fe7008fb703128df",
+    (3, False, False):
+        "e1fae0fa921e6bbc27e9cd5d3f687575a99f8e9f8e346cc474a8574dc851884a",
+    (3, False, True):
+        "817811e720da0b2c65a129f00ea5fd087412a66e3c538f13fec8c4bdee9d3c9e",
+    (3, True, False):
+        "68d6759f64b01994ca9bff9014a18868581bcea619c9d52eb628904efa737eb4",
+    (3, True, True):
+        "0218345d9d6adb20d4399a3fa4c0a77929675efdf0cd6731aa2ff32f8eaef72a",
+    (4, False, False):
+        "73602b8f4831028a92f93dd3e4b185ca9df6651446b815ed86f29f0e0a8acde4",
+    (4, False, True):
+        "6c2301c75a8e4fd2078e5b35210c6b8ae2018e71bab59fcf24ef44e357aa6bb0",
+    (4, True, False):
+        "434d925e642fd004b6b908ebde57c7655aa5d14a1cce95520b0a17cd251e4c57",
+    (4, True, True):
+        "a75763bdbe8e4019ea056c0005aafa8ef2e6600cde25ca69b036dc761bb76b71",
+    (5, False, False):
+        "40fe8dc0750afbc064021f9dcdabde75a8f898ee05807605d03342dbacf71ff6",
+    (5, False, True):
+        "6c98cf72e5175c634182cac74dc38d5050b9ae8702734ff23611fa921e551bf6",
+    (5, True, False):
+        "affd3ca1479d05bcef627ddc364160437052ff9df1a8a0f9da8cd9724b5f46d4",
+    (5, True, True):
+        "c5a098bee9b6724098295d8ef19ec3500be1ac9f42eefaf654be7bf90a48bb4e",
+    (6, False, False):
+        "12c8f2298ac06dd6f57a0d4bee7336acda363dedbf09cd8d385b0ac4a0c21bd7",
+    (6, False, True):
+        "5bfea170317176680b683ea8d1cca3465556e99c8174ba8db0f9c711dbe6f4c6",
+    (6, True, False):
+        "3ac7b00b80b7ba26075a0e90bd9ade66fe56aaffcdbb0d2775be2f1d9cb06436",
+    (6, True, True):
+        "5f746a2c14419c858f1d8c6a8943a6d994b4fdf56300bb84e55f3679ee45720b",
+    (7, False, False):
+        "f8c80e8299d41bb0fd4e305fe8d30bdf2209cf8fe89b2b0a335c25255ad5823c",
+    (7, False, True):
+        "7094e4c5d51fcd73fe888a4d5c5606ee797ab6f1d08c595b871d2fe148365f38",
+    (7, True, False):
+        "8f582b65d989063ee6dc9c08329ef8beef9c99f661017cce43953ba974c6a19d",
+    (7, True, True):
+        "b87d0b077091524e590734d9547f3f6f242f7e74fa6097645b214ea0fba611e7",
+}
+GOLDEN_CLASS_STREAMS = {
+    1: "ecf5de1a2ecc66a1876a832804c64f6b5125784e94c82285d9720621c613ab46",
+    2: "b7cd2a004ade86133158ffa94292f1d79a1fa154874706bf33b9e841cd3fa4cb",
+    3: "a1680d75ef87e824903a43a0f5a4c37577b6945842554674563d48ca3cc90e3d",
+    4: "65ef34378cc8a79e252929a66a5b32ecd374d6ec6e30ea4360abbd2c49d6a3ca",
+    5: "251047a1d7b1b00ea80958f665dad24b670c93bf073755261f64191d1fdea5e9",
+    6: "d862213886164219c3f965a16bbf5df4a1f2332e695705c7f0d9caa1265512ee",
+    7: "8b0185a40a698f507bca6e576a1750eda90cdb65646b4a7e9a1c2e25f1d8df74",
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestGoldenDigests:
+    def test_every_scan_body_is_unchanged(self):
+        got = {key: _sha256(scan(ScanConfig(
+                   checks=tuple(CHECKS), n=key[0], dedup=key[1],
+                   connected_only=key[2])).body_text())
+               for key in GOLDEN_BODIES}
+        assert got == GOLDEN_BODIES
+
+    def test_every_class_stream_is_unchanged(self):
+        got = {n: _sha256("".join(to_graph6(g) + "\n"
+                                  for g in enumerate_graphs(n, dedup=True)))
+               for n in GOLDEN_CLASS_STREAMS}
+        assert got == GOLDEN_CLASS_STREAMS
 
 
 @st.composite
