@@ -25,8 +25,7 @@ from .hypergraphs import (HyperGraph, check_conjecture2, check_hyper_corollary,
 from .invariants import (CoreDecomposition, CriticalityProfile, GraphAnalysis,
                          InvariantReport, core_decomposition,
                          criticality_profile, has_perfect_matching,
-                         invariant_suite, max_clique_containing_edge,
-                         max_stable_containing, maximal_stable_sets,
+                         invariant_suite, maximal_stable_sets,
                          maximum_stable_sets, stability_number)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -48,15 +48,21 @@ def clique_system_search(g: Graph, stable: VertexMask, order: int,
     pairwise disjoint and meeting ``stable`` only in that vertex.
 
     ``stable`` must be stable with alpha(g) vertices; pass ``alpha`` when it
-    is known, else it is computed.  One search takes the stable vertices in
-    index order and grows each one's clique from its neighbours not yet
-    used: it adds the lowest-index candidate, narrows the candidates to that
+    is known, else it is computed.  One search places next the stable
+    vertex with the fewest neighbours not yet used (ties by lowest index),
+    the most constrained one, and grows its clique from those neighbours:
+    it adds the lowest-index candidate, narrows the candidates to that
     vertex's neighbours, and gives up once fewer candidates remain than the
     clique still needs.  No clique list is built per vertex: a completed
     clique passes the search on to the next stable vertex, and a failure
     there backtracks into the clique growth.  Cliques are tried in growth
     order (lexicographic in their sorted vertices), so the system found is
-    deterministic.  Returns None only after exhausting the space.
+    deterministic.  Returns None only after exhausting the space, which
+    can take time exponential in the number of stable vertices.
+
+    The order matters: on the 64-vertex lexicographic square of
+    ``GB]eCK`` index order had not decided its first maximum stable set
+    after 20 s, and this order decides all 256 in about 0.2 s.
     """
     if order < 1:
         raise ValueError("clique order must be >= 1")
@@ -66,31 +72,37 @@ def clique_system_search(g: Graph, stable: VertexMask, order: int,
             or any(g.adj[v] & stable for v in bits(stable))):
         raise ValueError("the designated set is not a maximum stable set")
     adj = g.adj
-    members = bits(stable)
     chosen: list[int] = []
 
-    def place(i: int, used: int) -> bool:
-        if i == len(members):
+    def place(rest: int, used: int) -> bool:
+        if not rest:
             return True
-        v = members[i]
+        free, v, fewest = ~used, -1, g.n
+        left = rest
+        while left:  # ascending, and only a strictly smaller count wins
+            u = (left & -left).bit_length() - 1
+            left &= left - 1
+            k = (adj[u] & free).bit_count()
+            if k < fewest:
+                v, fewest = u, k
         # stable is stable, so the clique through v meets it only in v.
-        return grow(i, 1 << v, adj[v] & ~used, order - 1, used)
+        return grow(rest & ~(1 << v), 1 << v, adj[v] & free, order - 1, used)
 
-    def grow(i: int, clique: int, cand: int, need: int, used: int) -> bool:
+    def grow(rest: int, clique: int, cand: int, need: int, used: int) -> bool:
         if not need:
             chosen.append(clique)
-            if place(i + 1, used | clique):
+            if place(rest, used | clique):
                 return True
             chosen.pop()
             return False
         while cand.bit_count() >= need:
             u = (cand & -cand).bit_length() - 1
             cand &= cand - 1
-            if grow(i, clique | 1 << u, cand & adj[u], need - 1, used):
+            if grow(rest, clique | 1 << u, cand & adj[u], need - 1, used):
                 return True
         return False
 
-    if place(0, 0):
+    if place(stable, 0):
         return CliqueSystem(tuple(chosen))
     return None
 

@@ -7,12 +7,11 @@ mask over all vertex permutations).  Every scan is one walk over the
 classes, each with its orbit.  Every check is a function of the
 isomorphism class, so by orbit-stabilizer the labeled totals are the sum
 over classes of orbit size x verdict: a labeled scan weights each
-representative by n!/|Aut| and replays an orbit whose representative
-violates any check member by member, so labeling-dependent witnesses and
-the sorted violation list are exactly those of a scan over every edge mask;
-a dedup scan weights each representative 1.  In both modes the orbit sizes
-must add up to the labeled count.  Per-check totals are summed from
-sub-totals per class-index residue, so ``ScanConfig.shard_count`` changes none.
+representative by n!/|Aut|, a dedup scan weights it 1.  In both modes a
+violating class gets one record per violated check, named by its
+representative, and the orbit sizes must add up to the labeled count.
+Per-check totals are summed from sub-totals per class-index residue, so
+``ScanConfig.shard_count`` changes none.
 
 The class walk ``_orbits`` marks each class's orbit in a bitmap over all
 2^C(n,2) edge masks and jumps to the next unmarked mask; it sums each orbit
@@ -282,10 +281,11 @@ class CheckTotals:
 
 @dataclass
 class ScanReport:
-    """Totals per check plus the replayable violation list of one scan.
+    """Totals per check plus the replayable violation list of one scan:
+    one record per violating class and check, named by the class
+    representative.
 
-    ``graphs_analysed`` counts the graphs whose checks ran (class
-    representatives plus replayed orbit members for a labeled scan); like
+    ``graphs_analysed`` counts the classes whose checks ran; like
     ``elapsed_seconds`` it is runtime, not body.
     """
 
@@ -303,15 +303,13 @@ class ScanReport:
     def add(self, g: Graph, verdicts, totals: dict[str, CheckTotals],
             weight: int = 1) -> None:
         """Count ``g``'s ``(name, verdict)`` pairs for ``weight`` graphs in
-        ``totals`` and record its violations, which need ``weight`` 1."""
+        ``totals`` and record each of its violations once."""
         self.graph_count += weight
         self.graphs_analysed += 1
         g6: Optional[str] = None
         for name, verdict in verdicts:
             totals[name].add(verdict, weight)
             if verdict.status == VIOLATED:
-                if weight != 1:
-                    raise RuntimeError("a violation was weighted, not replayed")
                 if g6 is None:
                     g6 = to_graph6(g)
                 self.violations.append(_verdict_record(g6, name, verdict))
@@ -358,9 +356,8 @@ def scan(config: ScanConfig) -> ScanReport:
     vertices, in one walk over the isomorphism classes.
 
     A labeled scan counts each class representative for its orbit of
-    n!/|Aut| labeled graphs and replays any orbit with a violation member
-    by member, so the body is byte-identical to checking every edge mask; a
-    dedup scan counts each representative once.  In both modes the orbit
+    n!/|Aut| labeled graphs, a dedup scan counts it once; in both modes a
+    violation is recorded once, for the representative.  The orbit
     sizes must add up to 2^C(n,2) labeled graphs (the connected ones under
     ``connected_only``), else RuntimeError: a class the walk dropped is an
     error, not a smaller report.  Each check's totals are counted in
@@ -375,7 +372,7 @@ def scan(config: ScanConfig) -> ScanReport:
     sub_totals: dict[int, dict[str, CheckTotals]] = {}
     edge_list = _edge_list(n)
     idx = labeled_total = 0
-    for mask, weight, orbit in _orbits(n):
+    for mask, weight, _ in _orbits(n):
         g = _graph_from_mask(n, mask, edge_list)
         if config.connected_only and component_count(g) != 1:
             continue
@@ -385,20 +382,8 @@ def scan(config: ScanConfig) -> ScanReport:
         if totals is None:
             totals = sub_totals[residue] = {c: CheckTotals() for c in checks}
         labeled_total += weight
-        verdicts = list(check_verdicts(g, checks))
-        if config.dedup or all(v.status != VIOLATED for _, v in verdicts):
-            report.add(g, verdicts, totals, 1 if config.dedup else weight)
-        else:
-            members = sorted(set(orbit.tolist()))
-            if len(members) != weight:
-                raise RuntimeError(f"orbit of edge mask {mask} on {n} vertices "
-                                   f"has {len(members)} members, not {weight}")
-            for member in members:
-                if member == mask:
-                    report.add(g, verdicts, totals)
-                    continue
-                h = _graph_from_mask(n, member, edge_list)
-                report.add(h, check_verdicts(h, checks), totals)
+        report.add(g, check_verdicts(g, checks), totals,
+                   1 if config.dedup else weight)
     want = _labeled_count(n, config.connected_only)
     if labeled_total != want:
         raise RuntimeError(f"orbit weights add up to {labeled_total} "

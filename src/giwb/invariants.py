@@ -91,24 +91,6 @@ def _max_stable_set(g: Graph,
     return best_set
 
 
-def max_stable_containing(g: Graph, v: int) -> int:
-    """Largest stable set through ``v`` (automatically maximal at that size):
-    one search of the vertices outside N[v]."""
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range")
-    return 1 + stability_number(g, g.full_mask & ~(g.adj[v] | (1 << v)))
-
-
-def max_clique_containing_edge(g: Graph, e: tuple[int, int]) -> int:
-    """Largest clique through the edge ``e``."""
-    u, v = e
-    if not (0 <= u < g.n and 0 <= v < g.n):
-        raise ValueError(f"edge ({u}, {v}) has a vertex out of range")
-    if not g.has_edge(u, v):
-        raise ValueError(f"({u}, {v}) is not an edge")
-    return GraphAnalysis(g).max_clique_containing_edge(u, v)
-
-
 def maximal_stable_sets(g: Graph) -> list[VertexMask]:
     """All inclusionwise-maximal stable sets, sorted by bit pattern."""
     co_rows = tuple((g.full_mask & ~g.adj[i]) & ~(1 << i) for i in range(g.n))

@@ -18,6 +18,7 @@ from giwb.bounds import VIOLATED, Verdict
 from giwb.graphs import complement, to_graph6
 from giwb.harness import CHECKS
 from giwb.invariants import GraphAnalysis
+from test_products import SQUARE
 
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -110,6 +111,17 @@ class TestCheck:
             "theorem1", "cor1", "berge", "edge-bound", "galvin-goddard",
             "conj1", "conj3", "hyper-cor"]
         assert all(r["finding"] is False for r in records)
+
+    def test_conj1_finishes_on_the_64_vertex_square(self):
+        # 256 maximum stable sets, each with a clique system of order 6.
+        proc = subprocess.run(
+            [sys.executable, "-m", "giwb.cli", "check", "--checks", "conj1",
+             SQUARE], env=src_env(), capture_output=True, text=True,
+            timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        record = json.loads(proc.stdout)
+        assert (record["status"], record["lhs"], record["rhs"]) == (
+            "holds", 54, 64)
 
     def test_single_check_flag(self, capsys):
         code, records, _ = run(capsys, "check", "--checks", "edge-bound", "Dhc")
@@ -218,6 +230,29 @@ class TestFindingsReplay:
             "violated", True, 9, 9)
         assert r["witness"] == {"failed": "clique-system",
                                 "stable_set": [1, 2, 3]}
+
+    @pytest.mark.parametrize("token, lhs, rhs", [
+        ("O`?Hx{~N}WX`{?{?w@}?^", 18, 16), ("OB]eCK?????B?F?I?E?@B", 18, 16),
+        (SQUARE, 81, 64)], ids=["GB]eCK[K_2]", "2 GB]eCK", "GB]eCK[GB]eCK]"])
+    def test_omega_v_substitution_family(self, capsys, token, lhs, rhs):
+        code, records, _ = run(capsys, "check", "--checks", "omega-v-sub",
+                               token)
+        assert code == 0 and len(records) == 1
+        r = records[0]
+        assert (r["status"], r["finding"], r["lhs"], r["rhs"]) == (
+            "violated", True, lhs, rhs)
+
+    @pytest.mark.parametrize("token", [
+        "Q~?MEFBoxwF`{K{K`x_]XKrKrKw", "Q]?EEBBopwF_{K{K@x_]WKrKrKo",
+        "QcdePhT???_??C?C_@_?q?@g?Ig"],
+        ids=["HcdePhT[K_2]", "HcdePhT[2K_1]", "2 HcdePhT"])
+    def test_conjecture1_family_on_18_vertices(self, capsys, token):
+        code, records, _ = run(capsys, "check", "--checks", "conj1", token)
+        assert code == 0 and len(records) == 1
+        r = records[0]
+        assert (r["status"], r["finding"], r["lhs"], r["rhs"]) == (
+            "violated", True, 18, 18)
+        assert r["witness"]["failed"] == "clique-system"
 
     def test_corona_equality_case_on_9_vertices(self, capsys):
         code, records, _ = run(capsys, "check", "--checks",

@@ -358,8 +358,7 @@ class TestOrbitWeighting:
                 got = scan(dataclasses.replace(config, shard_count=shards))
                 assert got.body_text() == want, (dedup, shards)
 
-    def test_violating_orbits_are_replayed_member_by_member(self,
-                                                            monkeypatch):
+    def test_violations_are_recorded_once_per_class(self, monkeypatch):
         # Real scans find no violations, so inject one on an invariant
         # property, with a witness that depends on the labeling.
         real = CHECKS["theorem1"]
@@ -376,16 +375,20 @@ class TestOrbitWeighting:
             config = ScanConfig(checks=("theorem1", "edge-bound"), n=n,
                                 connected_only=connected_only, dedup=dedup)
             want = brute_force_scan(config)
-            assert want.violations
+            per_class = scan(dataclasses.replace(config, dedup=True))
+            assert per_class.violations
             for shards in (1, 3):
                 got = scan(dataclasses.replace(config, shard_count=shards))
-                assert got.body_text() == want.body_text()
+                assert (got.graph_count, got.totals) == (want.graph_count,
+                                                         want.totals)
+                assert got.violations == per_class.violations
         # n = 4: 11 classes; the 3-edge ones (K_3 + K_1, P_4, K_1,3) have
         # orbits of 4, 12 and 4 graphs, the 4-edge ones (C_4, the paw) of 3
-        # and 12, and the other 35 - 5 members of these orbits are replayed.
+        # and 12: 35 labeled violators, one record for each class.
         rep = scan(ScanConfig(checks=("theorem1",), n=4))
-        assert len(rep.violations) == math.comb(6, 3) + math.comb(6, 4)
-        assert rep.graphs_analysed == 11 + 30
+        assert len(rep.violations) == 5
+        assert rep.totals["theorem1"].violated == 35
+        assert rep.graphs_analysed == 11
 
     def test_unreplayed_runs_analyse_one_graph_per_class(self):
         rep = scan(ScanConfig(checks=("theorem1",), n=6))

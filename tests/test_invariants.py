@@ -16,8 +16,7 @@ from giwb.bounds import complete, cycle, path, star
 from giwb.graphs import Graph, bits, complement, from_edges, to_graph6
 from giwb.invariants import (GraphAnalysis, core_decomposition,
                              criticality_profile, has_perfect_matching,
-                             invariant_suite, max_clique_containing_edge,
-                             max_stable_containing, maximal_cliques,
+                             invariant_suite, maximal_cliques,
                              maximal_stable_sets, maximum_stable_sets,
                              stability_number)
 from test_graphs import graphs, graphs_up_to, small_graphs
@@ -279,19 +278,6 @@ class TestInvariantSuite:
         assert an.sigma_v == min(per_vertex)
         for v in range(g.n):
             assert an.max_stable_containing(v) == per_vertex[v]
-
-    def test_per_vertex_and_per_edge_queries(self):
-        g = cycle(5)
-        assert max_stable_containing(g, 0) == 2
-        assert max_clique_containing_edge(g, (0, 1)) == 2
-        with pytest.raises(ValueError, match="out of range"):
-            max_stable_containing(g, 9)
-        with pytest.raises(ValueError, match="not an edge"):
-            max_clique_containing_edge(g, (0, 2))
-        p3 = path(3)
-        for edge in [(-1, 1), (5, 1), (1, 3)]:
-            with pytest.raises(ValueError, match="out of range"):
-                max_clique_containing_edge(p3, edge)
 
 
 class TestStableSetEnumeration:
