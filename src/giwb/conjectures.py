@@ -15,8 +15,9 @@ from typing import Optional
 
 from .bounds import (HOLDS, NOT_APPLICABLE, Verdict, VIOLATED, _bound_verdict,
                      _isolate_free_b_graph)
-from .graphs import Graph, VertexMask, bits
-from .invariants import GraphAnalysis, maximum_stable_sets, stability_number
+from .graphs import (Graph, VertexMask, bits, connected_components,
+                     induced_subgraph, mask_of)
+from .invariants import GraphAnalysis, maximum_stable_sets
 
 
 @dataclass(frozen=True)
@@ -41,16 +42,17 @@ class CliqueSystem:
         return True
 
 
-def clique_system_search(g: Graph, stable: VertexMask, order: int,
-                         alpha: Optional[int] = None) -> Optional[CliqueSystem]:
+def clique_system_search(g: Graph, stable: VertexMask,
+                         order: int) -> Optional[CliqueSystem]:
     """Exact backtracking search for a disjoint clique system: one clique of
-    the given order through each vertex of the maximum stable set ``stable``,
+    the given order through each vertex of the stable set ``stable``,
     pairwise disjoint and meeting ``stable`` only in that vertex.
 
-    ``stable`` must be stable with alpha(g) vertices; pass ``alpha`` when it
-    is known, else it is computed.  One search places next the stable
-    vertex with the fewest neighbours not yet used (ties by lowest index),
-    the most constrained one, and grows its clique from those neighbours:
+    ``stable`` may be any stable set of g within its n vertices; it need
+    not be maximum, so the search decides a system through every vertex of
+    any stable set.  One search places next the stable vertex with the
+    fewest neighbours not yet used (ties by lowest index), the most
+    constrained one, and grows its clique from those neighbours:
     it adds the lowest-index candidate, narrows the candidates to that
     vertex's neighbours, and gives up once fewer candidates remain than the
     clique still needs.  No clique list is built per vertex: a completed
@@ -66,11 +68,8 @@ def clique_system_search(g: Graph, stable: VertexMask, order: int,
     """
     if order < 1:
         raise ValueError("clique order must be >= 1")
-    if alpha is None:
-        alpha = stability_number(g)
-    if (stable & ~g.full_mask or stable.bit_count() != alpha
-            or any(g.adj[v] & stable for v in bits(stable))):
-        raise ValueError("the designated set is not a maximum stable set")
+    if stable & ~g.full_mask or any(g.adj[v] & stable for v in bits(stable)):
+        raise ValueError("the designated set is not a stable set")
     adj = g.adj
     chosen: list[int] = []
 
@@ -123,7 +122,21 @@ def check_conjecture1_full(g: Graph,
                            an: Optional[GraphAnalysis] = None) -> Verdict:
     """The bound plus the structural clause: every maximum stable set admits
     a disjoint clique system of order omega_e.  A failing stable set is
-    attached as the counterexample witness."""
+    attached as the counterexample witness.
+
+    The clause is decided once per connected component.  A clique of order
+    omega_e >= 2 lies inside one component, and a maximum stable set of g
+    is one maximum stable set of each component, so it has a system
+    exactly when each of its parts has one.  Each component's maximum
+    stable sets are searched in g in ascending order, up to the first that
+    fails, so the searches add up over the components instead of
+    multiplying: 63 on 21K_3, not 3^21.  The witness is the smallest
+    failing maximum stable set of g read as an integer.  Components use
+    disjoint bits, so it is the sum of every component's smallest maximum
+    stable set plus the least (first failing set - smallest set) over the
+    failing components.  A connected graph can still have exponentially
+    many maximum stable sets, so no bound on the searches is claimed.
+    """
     an = an or GraphAnalysis(g)
     bound = check_conjecture1_bound(g, an)
     if bound.status == NOT_APPLICABLE:
@@ -131,15 +144,26 @@ def check_conjecture1_full(g: Graph,
     if bound.status == VIOLATED:
         return Verdict(VIOLATED, lhs=bound.lhs, rhs=bound.rhs,
                        slack=bound.slack, witness={"failed": "bound"})
-    for stable in maximum_stable_sets(g):
-        system = clique_system_search(g, stable, an.omega_e, an.alpha)
-        if system is None:
-            return Verdict(VIOLATED, lhs=bound.lhs, rhs=bound.rhs,
-                           slack=bound.slack,
-                           witness={"failed": "clique-system",
-                                    "stable_set": list(bits(stable))})
-        if not system.validate(g, stable, an.omega_e):
-            raise RuntimeError("clique_system_search returned an invalid system")
+    smallest, excesses = 0, []
+    for comp in connected_components(g):
+        keep = bits(comp)
+        sets = [mask_of(keep[i] for i in bits(s))
+                for s in maximum_stable_sets(induced_subgraph(g, comp))]
+        smallest += sets[0]
+        for stable in sets:
+            system = clique_system_search(g, stable, an.omega_e)
+            if system is None:
+                excesses.append(stable - sets[0])
+                break
+            if not system.validate(g, stable, an.omega_e):
+                raise RuntimeError(
+                    "clique_system_search returned an invalid system")
+    if excesses:
+        failed = smallest + min(excesses)
+        return Verdict(VIOLATED, lhs=bound.lhs, rhs=bound.rhs,
+                       slack=bound.slack,
+                       witness={"failed": "clique-system",
+                                "stable_set": list(bits(failed))})
     return Verdict(HOLDS, lhs=bound.lhs, rhs=bound.rhs,
                    slack=bound.slack, equality=bound.equality)
 

@@ -10,7 +10,9 @@ visiting every edge mask, and coronas by isomorphism search.  They are the
 ground truth the optimized code is measured against.
 ``check_conjecture3_reference`` tests the conj3 filters with the per-edge
 ones first, so that the order the checker uses is shown not to change a
-verdict.
+verdict.  ``check_conjecture1_reference`` decides conj1 the whole-graph
+way, one clique-system search per maximum stable set of g in ascending
+order, which pays a product over the components.
 """
 
 from __future__ import annotations
@@ -21,14 +23,16 @@ from typing import Iterator
 
 import numpy as np
 
-from giwb.bounds import (NOT_APPLICABLE, VIOLATED, Verdict, _bound_verdict,
-                         are_isomorphic)
+from giwb.bounds import (HOLDS, NOT_APPLICABLE, VIOLATED, Verdict,
+                         _bound_verdict, are_isomorphic)
+from giwb.conjectures import check_conjecture1_bound, clique_system_search
 from giwb.graphs import (Graph, bits, component_count, from_edges,
                          induced_subgraph, to_graph6)
 from giwb.harness import (CheckTotals, ScanConfig, ScanReport, _edge_list,
                           _verdict_record, check_verdicts, enumerate_graphs)
 from giwb.hypergraphs import HyperGraph, stable_set_hypergraph
-from giwb.invariants import GraphAnalysis, stability_number
+from giwb.invariants import (GraphAnalysis, maximum_stable_sets,
+                             stability_number)
 
 
 def edgeless(n: int) -> Graph:
@@ -194,6 +198,27 @@ def check_conjecture3_reference(g: Graph, an: GraphAnalysis) -> Verdict:
     lhs = an.omega_e * an.sigma_e
     return _bound_verdict(lhs, g.n, g.n - lhs,
                           witness={"omega_e": an.omega_e, "sigma_e": an.sigma_e})
+
+
+def check_conjecture1_reference(g: Graph, an: GraphAnalysis) -> Verdict:
+    """conj1 over the whole graph: search every maximum stable set of g in
+    ascending order and report the first that has no clique system."""
+    bound = check_conjecture1_bound(g, an)
+    if bound.status == NOT_APPLICABLE:
+        return Verdict(NOT_APPLICABLE)
+    if bound.status == VIOLATED:
+        return Verdict(VIOLATED, lhs=bound.lhs, rhs=bound.rhs,
+                       slack=bound.slack, witness={"failed": "bound"})
+    for stable in maximum_stable_sets(g):
+        system = clique_system_search(g, stable, an.omega_e)
+        if system is None:
+            return Verdict(VIOLATED, lhs=bound.lhs, rhs=bound.rhs,
+                           slack=bound.slack,
+                           witness={"failed": "clique-system",
+                                    "stable_set": list(bits(stable))})
+        assert system.validate(g, stable, an.omega_e)
+    return Verdict(HOLDS, lhs=bound.lhs, rhs=bound.rhs,
+                   slack=bound.slack, equality=bound.equality)
 
 
 def corona(h: Graph, ell: int) -> Graph:

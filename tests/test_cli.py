@@ -1,5 +1,6 @@
 """Command-line interface: parsing, JSON output, and exit codes."""
 
+import functools
 import io
 import itertools
 import json
@@ -14,11 +15,11 @@ import time
 import pytest
 
 import giwb.cli as cli
-from giwb.bounds import VIOLATED, Verdict
+from giwb.bounds import VIOLATED, Verdict, complete
 from giwb.graphs import complement, to_graph6
 from giwb.harness import CHECKS
 from giwb.invariants import GraphAnalysis
-from test_products import SQUARE
+from test_products import SQUARE, union
 
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -113,15 +114,19 @@ class TestCheck:
         assert all(r["finding"] is False for r in records)
 
     def test_conj1_finishes_on_the_64_vertex_square(self):
-        # 256 maximum stable sets, each with a clique system of order 6.
-        proc = subprocess.run(
-            [sys.executable, "-m", "giwb.cli", "check", "--checks", "conj1",
-             SQUARE], env=src_env(), capture_output=True, text=True,
-            timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        record = json.loads(proc.stdout)
-        assert (record["status"], record["lhs"], record["rhs"]) == (
-            "holds", 54, 64)
+        # The square: 256 maximum stable sets, each with a clique system of
+        # order 6.  21K_3: 3^21 maximum stable sets, decided by 63 searches,
+        # three per triangle.
+        triangles = to_graph6(functools.reduce(union, [complete(3)] * 21))
+        for token, lhs, rhs in ((SQUARE, 54, 64), (triangles, 63, 63)):
+            proc = subprocess.run(
+                [sys.executable, "-m", "giwb.cli", "check", "--checks",
+                 "conj1", token], env=src_env(), capture_output=True,
+                text=True, timeout=60)
+            assert proc.returncode == 0, proc.stderr
+            record = json.loads(proc.stdout)
+            assert (record["status"], record["lhs"], record["rhs"]) == (
+                "holds", lhs, rhs)
 
     def test_single_check_flag(self, capsys):
         code, records, _ = run(capsys, "check", "--checks", "edge-bound", "Dhc")

@@ -1,11 +1,15 @@
 """Clique systems and the conjecture checkers."""
 
-import pytest
-from hypothesis import given, settings
+import functools
+import random
 
-from conftest import (check_conjecture3_reference, clique_systems_oracle,
-                      complement_oracle, dedup_classes, edgeless,
-                      maximum_stable_sets_oracle, omega_e_oracle,
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import giwb.conjectures as conjectures
+from conftest import (check_conjecture1_reference, check_conjecture3_reference,
+                      clique_systems_oracle, complement_oracle, dedup_classes,
+                      edgeless, maximum_stable_sets_oracle, omega_e_oracle,
                       sigma_v_oracle)
 from giwb.bounds import (HOLDS, NOT_APPLICABLE, VIOLATED, complete as k_n,
                          cycle, path)
@@ -15,7 +19,8 @@ from giwb.conjectures import (CliqueSystem, check_conjecture1_bound,
 from giwb.graphs import from_edges, mask_of, parse_graph6
 from giwb.harness import enumerate_graphs
 from giwb.invariants import GraphAnalysis, maximum_stable_sets
-from test_graphs import graphs, small_graphs
+from test_graphs import graphs, graphs_up_to, small_graphs
+from test_products import union
 
 
 class TestCliqueSystem:
@@ -44,26 +49,26 @@ class TestCliqueSystem:
         stable = maximum_stable_sets(g)[0]
         assert clique_system_search(g, stable, 3) is None
 
-    def test_rejects_non_maximum_stable_set(self):
-        with pytest.raises(ValueError, match="not a maximum stable set"):
-            clique_system_search(cycle(5), 0b00001, 2)
+    def test_rejects_a_set_that_is_not_stable(self):
+        with pytest.raises(ValueError, match="not a stable set"):
+            clique_system_search(cycle(5), 0b00011, 2)
         with pytest.raises(ValueError, match="order"):
             clique_system_search(cycle(5), 0b00101, 0)
 
     @pytest.mark.parametrize("stable", [
-        0b00001,    # stable but below alpha = 2
-        0b00011,    # alpha vertices, but 0-1 is an edge of C_5
-        0b10100,    # alpha vertices, but 2-4 is no edge: stable, maximum
+        0b00001,    # stable but below alpha = 2: decided all the same
+        0b00011,    # 0-1 is an edge of C_5
+        0b10100,    # 2-4 is no edge: stable, maximum
         0b100001,   # a vertex beyond n
     ])
-    def test_precondition_with_and_without_known_alpha(self, stable):
+    def test_precondition(self, stable):
         g = cycle(5)
-        for alpha in (None, 2):
-            if stable == 0b10100:
-                assert clique_system_search(g, stable, 2, alpha) is not None
-                continue
-            with pytest.raises(ValueError, match="not a maximum stable set"):
-                clique_system_search(g, stable, 2, alpha)
+        if stable in (0b00001, 0b10100):
+            system = clique_system_search(g, stable, 2)
+            assert system is not None and system.validate(g, stable, 2)
+        else:
+            with pytest.raises(ValueError, match="not a stable set"):
+                clique_system_search(g, stable, 2)
 
     def test_full_check_enumerates_maximal_sets_once(self, monkeypatch):
         import giwb.invariants as invariants
@@ -140,6 +145,82 @@ class TestConjecture1:
 
     def test_full_not_applicable_mirrors_bound(self):
         assert check_conjecture1_full(path(3)).status == NOT_APPLICABLE
+
+
+class TestComponents:
+    """conj1 decided once per component against the whole-graph walk of
+    conftest: the same status, bound, equality and witness."""
+
+    @staticmethod
+    def assert_agrees(g):
+        assert (check_conjecture1_full(g)
+                == check_conjecture1_reference(g, GraphAnalysis(g)))
+
+    @staticmethod
+    def relabelled(g, rng):
+        order = list(range(g.n))
+        rng.shuffle(order)
+        return from_edges(g.n, [(order[u], order[v]) for u, v in g.edges()])
+
+    def test_every_class_up_to_7(self):
+        for g in dedup_classes(7):
+            self.assert_agrees(g)
+
+    @settings(deadline=None)
+    @given(graphs)
+    def test_hypothesis_graphs(self, g):
+        self.assert_agrees(g)
+
+    @settings(deadline=None)
+    @given(st.lists(graphs_up_to(6, 1), min_size=2, max_size=3))
+    def test_hypothesis_unions(self, parts):
+        self.assert_agrees(functools.reduce(union, parts))
+
+    def test_relabelled_unions_with_the_9_vertex_finding(self):
+        # 1-2 copies of HcdePhT and 0-2 isolate-free B-graphs on n <= 5,
+        # under a random vertex order, so that the failing sets and the
+        # smallest ones interleave across the components.
+        rng = random.Random(23)
+        conj1 = parse_graph6("HcdePhT")
+        b_graphs = [g for g in dedup_classes(5) if not g.has_isolated_vertex()
+                    and GraphAnalysis(g).is_b_graph]
+        statuses = set()
+        for _ in range(200):
+            parts = ([conj1] * rng.randint(1, 2)
+                     + rng.choices(b_graphs, k=rng.randint(0, 2)))
+            rng.shuffle(parts)
+            g = self.relabelled(functools.reduce(union, parts), rng)
+            v = check_conjecture1_full(g)
+            assert v == check_conjecture1_reference(g, GraphAnalysis(g)), g
+            statuses.add((v.status, (v.witness or {}).get("failed")))
+        assert statuses == {(HOLDS, None), (VIOLATED, "clique-system")}
+
+    def test_relabelled_unions_that_fail_late(self):
+        # Every maximum stable set of HcdePhT fails, so the unions above
+        # never fail past a component's smallest set.  These one-vertex
+        # extensions of it first fail at their 2nd or 6th maximum stable
+        # set, and a union of two picks the least excess over both.
+        rng = random.Random(23)
+        late = [parse_graph6(t) for t in ("IcdePhTX?", "IcdePhTq_")]
+        witnesses = set()
+        for _ in range(40):
+            g = self.relabelled(union(*rng.choices(late, k=2)), rng)
+            v = check_conjecture1_full(g)
+            assert v == check_conjecture1_reference(g, GraphAnalysis(g)), g
+            witnesses.add(tuple(v.witness["stable_set"]))
+        assert len(witnesses) > 1
+
+    def test_21_triangles_take_63_searches(self, monkeypatch):
+        searched = []
+        real = conjectures.clique_system_search
+
+        def counted(g, stable, order):
+            searched.append(stable)
+            return real(g, stable, order)
+        monkeypatch.setattr(conjectures, "clique_system_search", counted)
+        v = check_conjecture1_full(functools.reduce(union, [k_n(3)] * 21))
+        assert (v.status, v.lhs, v.rhs, v.equality) == (HOLDS, 63, 63, True)
+        assert len(searched) == 63
 
 
 class TestConjecture3:
