@@ -7,7 +7,8 @@ one greedy clique cover per search node bounds and orders all of its
 branches, and ``stability_number`` is the order of the set it returns.  The
 derived invariants ask for α of vertex subsets through one
 ``GraphAnalysis`` per graph, which searches each distinct subset once and
-keeps a maximum stable set inside it.
+keeps a maximum stable set inside it.  One Bron–Kerbosch enumerates maximal
+cliques and stable sets, and, given α as a size floor, maximum ones alone.
 
 σ_v, ω_v (σ_v of the complement) and the τ-core read m(v), the order of a
 largest stable set through v.  These come from α's witness plus one search
@@ -93,34 +94,37 @@ def _max_stable_set(g: Graph,
 
 def maximal_stable_sets(g: Graph) -> list[VertexMask]:
     """All inclusionwise-maximal stable sets, sorted by bit pattern."""
-    co_rows = tuple((g.full_mask & ~g.adj[i]) & ~(1 << i) for i in range(g.n))
-    return sorted(_bron_kerbosch(g.n, co_rows))
+    return sorted(_bron_kerbosch(complement(g).adj, g.full_mask))
 
 
 def maximal_cliques(g: Graph) -> list[VertexMask]:
     """All inclusionwise-maximal cliques, sorted by bit pattern."""
-    return sorted(_bron_kerbosch(g.n, g.adj))
+    return sorted(_bron_kerbosch(g.adj, g.full_mask))
 
 
-def maximum_stable_sets(g: Graph) -> list[VertexMask]:
-    """All stable sets of maximum size, sorted by bit pattern."""
-    sets = maximal_stable_sets(g)
-    top = max((s.bit_count() for s in sets), default=0)
-    return [s for s in sets if s.bit_count() == top]
+def maximum_stable_sets(g: Graph,
+                        subset: Optional[VertexMask] = None) -> list[VertexMask]:
+    """All stable sets of size α(subset) inside ``subset`` (all of g by
+    default), in g's own numbering, sorted by bit pattern."""
+    floor = _max_stable_set(g, subset).bit_count()
+    cand = g.full_mask if subset is None else subset
+    return sorted(_bron_kerbosch(complement(g).adj, cand, floor))
 
 
-def _bron_kerbosch(n: int, rows: tuple[int, ...]) -> Iterator[VertexMask]:
-    """Maximal cliques of the graph given by neighbor rows, with pivoting.
-    The empty graph yields the empty clique (which is maximal in it)."""
+def _bron_kerbosch(rows: tuple[int, ...], cand: VertexMask,
+                   floor: int = 0) -> Iterator[VertexMask]:
+    """Maximal cliques of order >= ``floor`` inside ``cand`` of the graph
+    given by neighbor rows (Bron & Kerbosch, CACM 1973), with pivoting.  A
+    branch whose clique plus candidates is below ``floor`` is cut.  An
+    empty ``cand`` yields the empty clique (which is maximal in it)."""
 
     def rec(clique: int, cand: int, excl: int):
+        if (clique | cand).bit_count() < floor:
+            return
         if not cand and not excl:
             yield clique
             return
-        pool = cand | excl
-        pivot = (pool & -pool).bit_length() - 1
-        best_deg = (cand & rows[pivot]).bit_count()
-        scan = pool & ~(1 << pivot)
+        pivot, best_deg, scan = -1, -1, cand | excl
         while scan:
             u = (scan & -scan).bit_length() - 1
             scan &= scan - 1
@@ -136,7 +140,7 @@ def _bron_kerbosch(n: int, rows: tuple[int, ...]) -> Iterator[VertexMask]:
             cand &= ~vb
             excl |= vb
 
-    yield from rec(0, (1 << n) - 1, 0)
+    yield from rec(0, cand, 0)
 
 
 @dataclass(frozen=True)

@@ -57,11 +57,14 @@ def alpha_oracle(g: Graph, subset: int | None = None) -> int:
     return best
 
 
-def maximum_stable_sets_oracle(g: Graph) -> list[int]:
-    """All maximum stable sets by raw subset enumeration."""
-    a = alpha_oracle(g)
+def maximum_stable_sets_oracle(g: Graph,
+                               subset: int | None = None) -> list[int]:
+    """All stable sets of size α(subset) inside ``subset`` (default: all of
+    g) by raw subset enumeration."""
+    avail = g.full_mask if subset is None else subset
+    a = alpha_oracle(g, avail)
     return [s for s in range(1 << g.n)
-            if s.bit_count() == a and is_stable(g, s)]
+            if s & avail == s and s.bit_count() == a and is_stable(g, s)]
 
 
 def cores_oracle(g: Graph) -> tuple[int, int]:

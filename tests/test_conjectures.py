@@ -70,20 +70,22 @@ class TestCliqueSystem:
             with pytest.raises(ValueError, match="not a stable set"):
                 clique_system_search(g, stable, 2)
 
-    def test_full_check_enumerates_maximal_sets_once(self, monkeypatch):
-        import giwb.invariants as invariants
+    def test_full_check_enumerates_once_per_component(self, monkeypatch):
         calls = []
-        real = invariants.maximal_stable_sets
+        real = conjectures.maximum_stable_sets
 
-        def counted(g):
-            calls.append(g)
-            return real(g)
-        monkeypatch.setattr(invariants, "maximal_stable_sets", counted)
+        def counted(g, subset=None):
+            calls.append(subset)
+            return real(g, subset)
+        monkeypatch.setattr(conjectures, "maximum_stable_sets", counted)
         g = cycle(7)  # seven maximum stable sets, one search each
         assert len(maximum_stable_sets(g)) == 7
-        calls.clear()
         assert check_conjecture1_full(g).status == HOLDS
-        assert len(calls) == 1
+        assert calls == [g.full_mask]
+        calls.clear()
+        v = check_conjecture1_full(functools.reduce(union, [k_n(3)] * 21))
+        assert v.status == HOLDS
+        assert len(calls) == 21
 
     def test_validate_rejects_bad_systems(self):
         g = cycle(4)
@@ -91,6 +93,12 @@ class TestCliqueSystem:
         assert not CliqueSystem((0b0011, 0b0011)).validate(g, stable, 2)  # overlap
         assert not CliqueSystem((0b0101,)).validate(g, stable, 2)  # non-edge
         assert not CliqueSystem((0b0011, 0b1000)).validate(g, stable, 2)  # size
+        c5 = parse_graph6("Dhc")
+        stable = 0b00101
+        assert not CliqueSystem(()).validate(c5, stable, 2)  # no part at all
+        assert not CliqueSystem((0b00011,)).validate(c5, stable, 2)  # misses 2
+        assert not CliqueSystem(  # a part on vertices 5 and 6, beyond n
+            (0b00011, 0b01100, 0b1100000)).validate(c5, 0b0100101, 2)
 
     def test_deterministic_witness(self):
         g = cycle(4)

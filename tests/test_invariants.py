@@ -13,7 +13,8 @@ from conftest import (alpha_oracle, all_labeled_graphs, complement_oracle,
                       omega_e_oracle, perfect_matching_oracle, sigma_v_oracle)
 from giwb import invariants
 from giwb.bounds import complete, cycle, path, star
-from giwb.graphs import Graph, bits, complement, from_edges, to_graph6
+from giwb.graphs import (Graph, bits, complement, connected_components,
+                         from_edges, to_graph6)
 from giwb.invariants import (GraphAnalysis, core_decomposition,
                              criticality_profile, has_perfect_matching,
                              invariant_suite, maximal_cliques,
@@ -292,6 +293,24 @@ class TestStableSetEnumeration:
     @given(graphs)
     def test_maximum_stable_sets_match_oracle(self, g):
         assert maximum_stable_sets(g) == maximum_stable_sets_oracle(g)
+
+    @given(graphs, st.integers(min_value=0))
+    def test_maximum_stable_sets_in_a_subset_match_oracle(self, g, seed):
+        subset = seed & g.full_mask
+        assert (maximum_stable_sets(g, subset)
+                == maximum_stable_sets_oracle(g, subset))
+
+    def test_maximum_stable_sets_of_every_component_up_to_7(self):
+        for g in dedup_classes(7):
+            for comp in connected_components(g):
+                assert (maximum_stable_sets(g, comp)
+                        == maximum_stable_sets_oracle(g, comp)), (g, comp)
+
+    def test_maximum_stable_sets_subset_edges(self):
+        g = cycle(5)
+        assert maximum_stable_sets(g, 0) == [0]
+        with pytest.raises(ValueError, match="beyond n"):
+            maximum_stable_sets(g, 0b100001)
 
     @given(graphs)
     def test_maximal_cliques_dualize(self, g):
