@@ -9,8 +9,8 @@ inapplicability has to be data, not control flow.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from typing import Iterable, Optional, Sequence
 
 from .gamma import gamma_closed
 from .graphs import Graph, bits, component_count, from_edges, to_graph6
@@ -179,22 +179,6 @@ def check_galvin_goddard(g: Graph, an: Optional[GraphAnalysis] = None) -> Verdic
 
 # Extremal families
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """Parameters of one generator family.
-
-    clique-of-stars: (tau >= 1, leaves >= 1); star: (leaves >= 1);
-    complete: (n >= 1); odd-cycle: (n odd >= 3).
-    """
-
-    kind: str
-    params: tuple[int, ...] = field(default_factory=tuple)
-
-    def __post_init__(self):
-        if self.kind not in FAMILY_KINDS:
-            raise ValueError(f"unknown family kind {self.kind!r}")
-
-
 def clique_of_stars(tau: int, leaves: int) -> Graph:
     """Clique K_tau with every clique vertex the center of a star carrying
     ``leaves`` pendant leaves; vertices 0..tau-1 are the clique."""
@@ -248,12 +232,18 @@ _FAMILIES = {
 FAMILY_KINDS = tuple(_FAMILIES)
 
 
-def generate_family(spec: FamilySpec) -> Graph:
-    """Construct the graph described by ``spec``."""
-    build, names = _FAMILIES[spec.kind]
-    if len(spec.params) != len(names):
-        raise ValueError(f"{spec.kind} takes ({', '.join(names)})")
-    return build(*spec.params)
+def generate_family(kind: str, params: Sequence[int]) -> Graph:
+    """The member of family ``kind`` with parameters ``params``.
+
+    clique-of-stars: (tau >= 1, leaves >= 1); star: (leaves >= 1);
+    complete: (n >= 1); odd-cycle: (n odd >= 3).
+    """
+    if kind not in _FAMILIES:
+        raise ValueError(f"unknown family kind {kind!r}")
+    build, names = _FAMILIES[kind]
+    if len(params) != len(names):
+        raise ValueError(f"{kind} takes ({', '.join(names)})")
+    return build(*params)
 
 
 # Isomorphism (desk scale)

@@ -25,8 +25,8 @@ import traceback
 from typing import Iterable, Iterator, Optional
 
 from . import __version__
-from .bounds import (FAMILY_KINDS, CatalogResult, FamilySpec, VIOLATED,
-                     catalog_min_edges, generate_family)
+from .bounds import (FAMILY_KINDS, CatalogResult, VIOLATED, catalog_min_edges,
+                     generate_family)
 from .gamma import gamma_closed, gamma_oracle, gamma_property_suite
 from .graphs import Graph, GraphFormatError, bits, parse_graph6, to_graph6
 from .harness import (CHECKS, ENUM_CAP, THEOREM_CHECKS, ScanConfig,
@@ -128,7 +128,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    g = generate_family(FamilySpec(kind=args.family, params=tuple(args.params)))
+    g = generate_family(args.family, args.params)
     print(to_graph6(g))
     return 0
 

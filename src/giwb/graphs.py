@@ -90,14 +90,6 @@ class Graph:
     def has_isolated_vertex(self) -> bool:
         return 0 in self.adj
 
-    def remove_edge(self, u: int, v: int) -> "Graph":
-        if not self.has_edge(u, v):
-            raise ValueError(f"({u}, {v}) is not an edge")
-        adj = list(self.adj)
-        adj[u] &= ~(1 << v)
-        adj[v] &= ~(1 << u)
-        return _graph(self.n, adj)
-
 
 def _graph(n: int, adj) -> Graph:
     """The Graph with rows ``adj`` that are valid by construction (within
@@ -296,13 +288,3 @@ def connected_components(g: Graph) -> list[VertexMask]:
 
 def component_count(g: Graph) -> int:
     return len(connected_components(g))
-
-
-def bridges(g: Graph) -> set[tuple[int, int]]:
-    """Edges whose removal increases the component count.
-
-    Computed definitionally (remove and recount): at desk scale this is its
-    own oracle.
-    """
-    base = component_count(g)
-    return {e for e in g.edges() if component_count(g.remove_edge(*e)) > base}

@@ -58,12 +58,6 @@ class HyperGraph:
         sizes = {e.bit_count() for e in self.edges}
         return sizes.pop() if len(sizes) == 1 else None
 
-    def maximal_edges(self) -> tuple[int, ...]:
-        """Inclusionwise-maximal edges, sorted by bit pattern."""
-        uniq = sorted(set(self.edges))
-        return tuple(e for e in uniq
-                     if not any(e != f and e & f == e for f in uniq))
-
 
 def two_section(h: HyperGraph) -> Graph:
     """Graph on the same vertices joining each pair co-occurring in an edge:
@@ -86,12 +80,12 @@ def stable_set_hypergraph(g: Graph) -> HyperGraph:
 
 def is_conformal(h: HyperGraph) -> bool:
     """Every maximal clique of size >= 2 of the 2-section is contained in
-    some edge of ``h`` (edges reduced to the inclusionwise-maximal ones)."""
-    maxi = h.maximal_edges()
+    some edge of ``h``.  Some edge holds a clique exactly when some maximal
+    edge does, so the edges are tried as given."""
     for clique in maximal_cliques(two_section(h)):
         if clique.bit_count() < 2:
             continue
-        if not any(clique & e == clique for e in maxi):
+        if not any(clique & e == clique for e in h.edges):
             return False
     return True
 

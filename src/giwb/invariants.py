@@ -1,5 +1,6 @@
 """Exact graph invariants: stability and covering numbers, the per-vertex and
-per-edge covering invariants, core decomposition, and criticality predicates.
+per-edge covering invariants, core decomposition, and the B-graph and
+τ-critical flags.
 
 Everything here is exact combinatorial search.  ``_max_stable_set`` is a
 colour-ordered bitmask branch-and-bound that returns a maximum stable set:
@@ -15,8 +16,7 @@ largest stable set through v.  These come from α's witness plus one search
 per vertex that the maximum stable sets found so far do not settle: a
 vertex inside one has m(v) = α, since m(v) <= α always, and so has a vertex
 with exactly one neighbour w in one, S, since S - w + v is stable.  The
-cores and the critical edges read the same queries: no vertex or edge is
-deleted.
+cores read the same queries: no vertex is deleted.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional
 
-from .graphs import (Graph, VertexMask, bridges, complement, component_count,
-                     mask_of)
+from .graphs import Graph, VertexMask, complement, component_count, mask_of
 
 
 def stability_number(g: Graph, subset: Optional[VertexMask] = None) -> int:
@@ -172,25 +171,15 @@ class CoreDecomposition:
     b_part: VertexMask
 
 
-@dataclass(frozen=True)
-class CriticalityProfile:
-    is_b_graph: bool
-    is_tau_critical: bool
-    is_alpha_critical: bool
-    q_minimal_necessary: bool
-    critical_edges: frozenset[tuple[int, int]]
-    bridge_edges: frozenset[tuple[int, int]]
-
-
 class GraphAnalysis:
     """Cached exact analysis of one graph.
 
-    Each distinct subset that the through-vertex queries behind sigma_v, the
-    cores and the criticality predicates ask α of is searched once, and a
-    maximum stable set inside it kept.  The per-vertex orders m(v) come
-    from α's witness plus one search per vertex that the maximum stable
-    sets found so far do not settle (see ``_through``).  All results are
-    plain values; instances are cheap to throw away.
+    Each distinct subset that the through-vertex queries behind sigma_v and
+    the cores ask α of is searched once, and a maximum stable set inside it
+    kept.  The per-vertex orders m(v) come from α's witness plus one search
+    per vertex that the maximum stable sets found so far do not settle (see
+    ``_through``).  All results are plain values; instances are cheap to
+    throw away.
     """
 
     def __init__(self, g: Graph):
@@ -340,29 +329,6 @@ def core_decomposition(g: Graph) -> CoreDecomposition:
     """Cores: v is in tau_core iff no maximum stable set contains it, and in
     alpha_core iff every one does, i.e. iff N(v) lies inside tau_core."""
     return GraphAnalysis(g).cores
-
-
-def criticality_profile(g: Graph) -> CriticalityProfile:
-    """B-graph / tau-critical / alpha-critical flags plus the edge partition
-    behind the necessary condition for edge-minimal graphs."""
-    an = GraphAnalysis(g)
-    edges = list(g.edges())
-    # A stable set of G - uv larger than alpha holds both u and v, so uv is
-    # critical iff 2 + alpha(V - N(u) - N(v)) = alpha + 1 (N(u) holds v).
-    critical = frozenset(
-        (u, v) for u, v in edges
-        if 1 + an.alpha_of(g.full_mask & ~(g.adj[u] | g.adj[v])) == an.alpha)
-    bridge_edges = frozenset(bridges(g))
-    is_ac = bool(edges) and len(critical) == len(edges)
-    q_min = all(e in critical or e in bridge_edges for e in edges)
-    return CriticalityProfile(
-        is_b_graph=an.is_b_graph,
-        is_tau_critical=an.is_tau_critical,
-        is_alpha_critical=is_ac,
-        q_minimal_necessary=q_min,
-        critical_edges=critical,
-        bridge_edges=bridge_edges,
-    )
 
 
 def has_perfect_matching(g: Graph) -> bool:

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from conftest import edgeless
 from giwb.bounds import complete, cycle, path
-from giwb.graphs import (Graph, GraphFormatError, bits, bridges, complement,
+from giwb.graphs import (Graph, GraphFormatError, bits, complement,
                          component_count, connected_components, from_edges,
                          induced_subgraph, mask_of, neighbor_set,
                          parse_edge_list, parse_graph6, to_graph6)
@@ -93,23 +93,13 @@ class TestConstruction:
         assert g.has_isolated_vertex()
         assert not cycle(3).has_isolated_vertex()
 
-    def test_remove_edge_and_vertex(self):
-        g = cycle(3)
-        assert g.remove_edge(0, 1).edge_count == 2
-        with pytest.raises(ValueError, match="not an edge"):
-            path(3).remove_edge(0, 2)
-
 
 def _derived(g: Graph, subset: int) -> list[Graph]:
     """What each builder derives from ``g``."""
     text = "".join([f"n {g.n}\n"] + [f"{u} {v}\n" for u, v in g.edges()])
-    out = [parse_graph6(to_graph6(g)), parse_edge_list(text),
-           from_edges(g.n, g.edges()), complement(g),
-           induced_subgraph(g, subset)]
-    edge = next(g.edges(), None)
-    if edge:
-        out.append(g.remove_edge(*edge))
-    return out
+    return [parse_graph6(to_graph6(g)), parse_edge_list(text),
+            from_edges(g.n, g.edges()), complement(g),
+            induced_subgraph(g, subset)]
 
 
 class TestTrustedConstruction:
@@ -275,10 +265,3 @@ class TestOperations:
         parts = connected_components(g)
         assert parts == [0b00011, 0b01100, 0b10000]
         assert component_count(cycle(6)) == 1
-
-    def test_bridges(self):
-        assert bridges(path(4)) == {(0, 1), (1, 2), (2, 3)}
-        assert bridges(cycle(5)) == set()
-        # One chord: the cycle edges stop being bridges, the pendant stays.
-        g = from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
-        assert bridges(g) == {(2, 3)}

@@ -40,10 +40,6 @@ class TestBasics:
         assert h.has_isolated_vertex() and h.covered_vertices() == 0b011
         assert not HyperGraph(3, (0b111,)).has_isolated_vertex()
 
-    def test_maximal_edges(self):
-        h = HyperGraph(3, (0b011, 0b111, 0b011, 0b001))
-        assert h.maximal_edges() == (0b111,)
-
     def test_two_section(self):
         h = HyperGraph(4, (0b0111, 0b1100))
         assert h.r_max == 3 and h.is_uniform() is None

@@ -16,10 +16,9 @@ from giwb.bounds import complete, cycle, path, star
 from giwb.graphs import (Graph, bits, complement, connected_components,
                          from_edges, to_graph6)
 from giwb.invariants import (GraphAnalysis, core_decomposition,
-                             criticality_profile, has_perfect_matching,
-                             invariant_suite, maximal_cliques,
-                             maximal_stable_sets, maximum_stable_sets,
-                             stability_number)
+                             has_perfect_matching, invariant_suite,
+                             maximal_cliques, maximal_stable_sets,
+                             maximum_stable_sets, stability_number)
 from test_graphs import graphs, graphs_up_to, small_graphs
 
 # Orders up to which the α memo is compared with subset enumeration.
@@ -367,51 +366,23 @@ class TestCores:
         c4 = core_decomposition(cycle(4))
         assert (c4.alpha_core, c4.tau_core, c4.b_part) == (0, 0, 0b1111)
 
+    @pytest.mark.parametrize("g, b_graph, tau_critical", [
+        (cycle(5), True, True),
+        # Each vertex is its own maximum stable set: alpha_core is empty.
+        (complete(4), True, True),
+        (path(3), False, False),
+        (edgeless(3), True, False),
+    ], ids=["C_5", "K_4", "P_3", "3K_1"])
+    def test_b_graph_and_tau_critical_flags(self, g, b_graph, tau_critical):
+        an = GraphAnalysis(g)
+        assert (an.is_b_graph, an.is_tau_critical) == (b_graph, tau_critical)
 
-class TestCriticality:
-    def test_odd_cycle_is_tau_critical_b_graph(self):
-        prof = criticality_profile(cycle(5))
-        assert prof.is_b_graph and prof.is_tau_critical
-        assert prof.is_alpha_critical
-        assert prof.bridge_edges == frozenset()
-
-    def test_complete_graph_is_alpha_critical(self):
-        prof = criticality_profile(complete(4))
-        assert prof.is_alpha_critical
-        # Each vertex is its own maximum stable set, so alpha_core is empty.
-        assert prof.is_tau_critical
-
-    def test_path_criticality(self):
-        prof = criticality_profile(path(3))
-        assert not prof.is_b_graph and not prof.is_tau_critical
-        assert prof.critical_edges == frozenset()
-        assert prof.bridge_edges == {(0, 1), (1, 2)}
-        assert prof.q_minimal_necessary
-
-    def test_edgeless_graph(self):
-        prof = criticality_profile(edgeless(3))
-        assert prof.is_b_graph and not prof.is_tau_critical
-        assert not prof.is_alpha_critical
-        assert prof.q_minimal_necessary
-
-    @staticmethod
-    def assert_matches_deletion(g):
-        prof = criticality_profile(g)
-        a = stability_number(g)
-        assert prof.critical_edges == {
-            e for e in g.edges() if stability_number(g.remove_edge(*e)) == a + 1}
-        assert prof.is_tau_critical == all(
-            stability_number(g, g.full_mask & ~(1 << v)) == a
-            for v in range(g.n))
-
-    def test_matches_deletion_on_every_class(self):
+    def test_tau_critical_iff_no_vertex_deletion_lowers_alpha(self):
         for g in dedup_classes(7):
-            self.assert_matches_deletion(g)
-
-    @settings(deadline=None)
-    @given(graphs_up_to(14))
-    def test_matches_deletion(self, g):
-        self.assert_matches_deletion(g)
+            a = stability_number(g)
+            assert GraphAnalysis(g).is_tau_critical == all(
+                stability_number(g, g.full_mask & ~(1 << v)) == a
+                for v in range(g.n)), g
 
 
 class TestMonotoneChains:
